@@ -188,7 +188,7 @@ let run_lp_bench ~count () =
   let budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 } in
   let verify ~warm prop =
     let analyzer = Analyzer.lp_triangle ~warm () in
-    Ivan_harness.Clock.timed (fun () ->
+    Ivan_clock.Clock.timed (fun () ->
         Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget ~net ~prop ())
   in
   Format.printf "@.%s@.Incremental LP: cold vs. warm-started node solves (%s, %d instances)@.%s@."
@@ -293,7 +293,7 @@ let run_cert_bench ~count () =
   let budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 } in
   let verify ~certify prop =
     let analyzer = Analyzer.lp_triangle ~certify () in
-    Ivan_harness.Clock.timed (fun () ->
+    Ivan_clock.Clock.timed (fun () ->
         Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget ~certify ~net ~prop ())
   in
   Format.printf "@.%s@.Proof certificates: emission overhead and checking cost (%s, %d instances)@.%s@."
@@ -313,7 +313,7 @@ let run_cert_bench ~count () =
           | None -> (0.0, 0, true)
           | Some artifact ->
               let text = Cert.Artifact.to_string artifact in
-              let result, s = Ivan_harness.Clock.timed (fun () -> Cert.check_artifact artifact) in
+              let result, s = Ivan_clock.Clock.timed (fun () -> Cert.check_artifact artifact) in
               let ok = match result with Ok _ -> true | Error _ -> false in
               if not ok then incr rejected;
               (s, String.length text, ok)
@@ -387,7 +387,7 @@ let run_journal_bench ~count () =
   let budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 } in
   let verify ?journal prop =
     let analyzer = Analyzer.lp_triangle () in
-    Ivan_harness.Clock.timed (fun () ->
+    Ivan_clock.Clock.timed (fun () ->
         Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget ?journal ~net ~prop ())
   in
   Format.printf "@.%s@.Write-ahead journal: crash-safety overhead (%s, %d instances)@.%s@."
@@ -548,7 +548,7 @@ let () =
   else begin
     let ctx = Experiments.create ~domains ~strategy scale in
     let (), elapsed =
-      Ivan_harness.Clock.timed (fun () -> Experiments.run_all ctx Format.std_formatter)
+      Ivan_clock.Clock.timed (fun () -> Experiments.run_all ctx Format.std_formatter)
     in
     Format.printf "@.experiments completed in %.1fs@." elapsed;
     (* Per-instance results for offline analysis. *)

@@ -24,7 +24,7 @@ let () =
   let box = prop.Prop.input in
   let time name n f =
     let (), seconds =
-      Ivan_harness.Clock.timed (fun () ->
+      Ivan_clock.Clock.timed (fun () ->
           for _ = 1 to n do
             ignore (f ())
           done)

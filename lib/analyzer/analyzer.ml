@@ -13,28 +13,44 @@ module Clock = Ivan_clock.Clock
 
 type status = Verified | Counterexample of Vec.t | Unknown
 
+type lp_report = {
+  warm_hits : int;
+  warm_misses : int;
+  cold_solves : int;
+  pivots : int;
+  basis : Lp.Basis.t option;
+}
+
 type outcome = {
   status : status;
   lb : float;
   bounds : Bounds.t option;
   zono : Zonotope.analysis option;
   cert : Ivan_cert.Cert.evidence option;
+  lp : lp_report option;
 }
 
 type t = {
   name : string;
-  run : Network.t -> prop:Prop.t -> box:Box.t -> splits:Splits.t -> outcome;
+  run : ?hint:Lp.Basis.t -> Network.t -> prop:Prop.t -> box:Box.t -> splits:Splits.t -> outcome;
 }
 
-let vacuous = { status = Verified; lb = infinity; bounds = None; zono = None; cert = None }
+let unknown = { status = Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None; lp = None }
+
+let vacuous = { unknown with status = Verified; lb = infinity }
+
+(* Wrap an analyzer that solves no LP: a basis hint has nothing to
+   warm. *)
+let lp_free name run =
+  { name; run = (fun ?hint:_ net ~prop ~box ~splits -> run net ~prop ~box ~splits) }
 
 let instrument ~on_run t =
   {
     t with
     run =
-      (fun net ~prop ~box ~splits ->
+      (fun ?hint net ~prop ~box ~splits ->
         let t0 = Clock.monotonic () in
-        let outcome = t.run net ~prop ~box ~splits in
+        let outcome = t.run ?hint net ~prop ~box ~splits in
         on_run ~name:t.name ~elapsed:(Clock.monotonic () -. t0) ~outcome;
         outcome);
   }
@@ -47,82 +63,28 @@ let concrete_status net ~prop candidate =
   let x = Box.clamp prop.Prop.input candidate in
   if check_concrete net ~prop x then Counterexample x else Unknown
 
-(* ------------------------------------------------------------------ *)
-(* Warm-start side channel between the BaB engine and the LP-backed
-   analyzers.
-
-   The engine sits above the analyzer abstraction and only sees
-   [outcome]s, while warm-starting needs two extra pieces of plumbing:
-   the parent node's simplex basis flowing IN to the next analyzer call,
-   and the solved node's basis plus solver statistics flowing OUT.
-   Rather than widen every analyzer signature (most analyzers never
-   touch an LP), both travel through a per-domain side channel: the
-   engine {!Warm.offer}s a hint before calling the analyzer and
-   {!Warm.collect}s the report afterwards.  Slots are domain-local
-   ([Domain.DLS]), so parallel runner workers verifying different
-   properties never see each other's bases, and both slots are consumed
-   on read, so a retry of a failed analyzer call runs cold instead of
-   reusing a hint that may have contributed to the failure. *)
-
-module Warm = struct
-  type lp_info = {
-    warm_hits : int;
-    warm_misses : int;
-    cold_solves : int;
-    pivots : int;
-    basis : Lp.Basis.t option;
-  }
-
-  let hint_slot : Lp.Basis.t option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let info_slot : lp_info option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let offer b = Domain.DLS.get hint_slot := Some b
-
-  let clear () =
-    Domain.DLS.get hint_slot := None;
-    Domain.DLS.get info_slot := None
-
-  let take_hint () =
-    let r = Domain.DLS.get hint_slot in
-    let v = !r in
-    r := None;
-    v
-
-  let record i = Domain.DLS.get info_slot := Some i
-
-  let collect () =
-    let r = Domain.DLS.get info_slot in
-    let v = !r in
-    r := None;
-    v
-end
-
-(* Report one LP solve's statistics through the side channel.  Only
+(* The LP work of one analyzer call, reported on its outcome.  Only
    called after a solve that returned (exceptions leave [last_stats]
    stale from some earlier solve of the same persistent problem). *)
-let record_lp_info lp ~reusable =
-  match Lp.last_stats lp with
-  | None -> ()
-  | Some s ->
+let lp_report_of lp ~reusable =
+  Option.map
+    (fun s ->
       let hits, misses, cold =
         match s.Lp.warm with
         | Lp.Warm_hit -> (1, 0, 0)
         | Lp.Warm_miss -> (0, 1, 0)
         | Lp.Cold -> (0, 0, 1)
       in
-      Warm.record
-        {
-          Warm.warm_hits = hits;
-          warm_misses = misses;
-          cold_solves = cold;
-          pivots = s.Lp.pivots;
-          (* Only a persistent-encoding basis is offered onward: a
-             one-shot LP's basis fits no other problem. *)
-          basis = (if reusable then Lp.basis lp else None);
-        }
+      {
+        warm_hits = hits;
+        warm_misses = misses;
+        cold_solves = cold;
+        pivots = s.Lp.pivots;
+        (* Only a persistent-encoding basis fits a child node: a one-shot
+           LP's basis fits no other problem. *)
+        basis = (if reusable then Lp.basis lp else None);
+      })
+    (Lp.last_stats lp)
 
 (* ------------------------------------------------------------------ *)
 (* Interval analyzer *)
@@ -132,12 +94,10 @@ let interval_run net ~prop ~box ~splits =
   | Interval_dom.Infeasible -> vacuous
   | Interval_dom.Feasible bounds ->
       let itv = Bounds.objective_itv bounds ~c:prop.Prop.c ~offset:prop.Prop.offset in
-      if itv.Itv.lo >= 0.0 then { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
-      else
-        let status = concrete_status net ~prop (Box.center box) in
-        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+      let status = if itv.Itv.lo >= 0.0 then Verified else concrete_status net ~prop (Box.center box) in
+      { unknown with status; lb = itv.Itv.lo; bounds = Some bounds }
 
-let interval () = { name = "interval"; run = interval_run }
+let interval () = lp_free "interval" interval_run
 
 (* ------------------------------------------------------------------ *)
 (* Zonotope analyzer *)
@@ -147,14 +107,13 @@ let zonotope_run net ~prop ~box ~splits =
   | Zonotope.Infeasible -> vacuous
   | Zonotope.Feasible a ->
       let itv = Zonotope.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset in
-      if itv.Itv.lo >= 0.0 then
-        { status = Verified; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None }
-      else
-        let candidate = Zonotope.minimizing_input a ~c:prop.Prop.c in
-        let status = concrete_status net ~prop candidate in
-        { status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None }
+      let status =
+        if itv.Itv.lo >= 0.0 then Verified
+        else concrete_status net ~prop (Zonotope.minimizing_input a ~c:prop.Prop.c)
+      in
+      { unknown with status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a }
 
-let zonotope () = { name = "zonotope"; run = zonotope_run }
+let zonotope () = lp_free "zonotope" zonotope_run
 
 (* ------------------------------------------------------------------ *)
 (* DeepPoly-only analyzer: back-substituted bounds without the LP pass.
@@ -167,13 +126,10 @@ let deeppoly_run net ~prop ~box ~splits =
   | Deeppoly.Feasible dp ->
       let bounds = Deeppoly.bounds dp in
       let itv = Deeppoly.objective_itv dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
-      if itv.Itv.lo >= 0.0 then
-        { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
-      else
-        let status = concrete_status net ~prop (Box.center box) in
-        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+      let status = if itv.Itv.lo >= 0.0 then Verified else concrete_status net ~prop (Box.center box) in
+      { unknown with status; lb = itv.Itv.lo; bounds = Some bounds }
 
-let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
+let deeppoly () = lp_free "deeppoly" deeppoly_run
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-encoding caches.
@@ -229,7 +185,7 @@ let evidence_of lp ~const =
           witness;
         }
 
-let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
+let lp_triangle_run ~deeppoly_shortcut ~warm ~certify ?hint net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
@@ -248,7 +204,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
       in
       let cheap_lb = Float.max dp_itv.Itv.lo zono_lb in
       if deeppoly_shortcut && cheap_lb >= 0.0 then
-        { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+        { unknown with status = Verified; lb = cheap_lb; bounds = Some bounds; zono }
       else
         (* Specialize the persistent per-property encoding to this node;
            fall back to a fresh one-shot LP when the node is outside the
@@ -267,7 +223,6 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
               let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
               (lp, const, false)
         in
-        let hint = Warm.take_hint () in
         let solved =
           try
             `Result
@@ -279,26 +234,25 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
         match solved with
         | `Solver_failed ->
             (* Numerical failure: fall back on the sound cheap bound. *)
-            if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
-            else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+            let status = if cheap_lb >= 0.0 then Verified else Unknown in
+            { unknown with status; lb = cheap_lb; bounds = Some bounds; zono }
         | `Result r -> (
-            record_lp_info lp ~reusable;
+            let lp_done = { unknown with bounds = Some bounds; zono; lp = lp_report_of lp ~reusable } in
             let cert = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
                 (* The relaxation is a superset of the true region, so an
                    infeasible relaxation proves the region empty. *)
-                { vacuous with bounds = Some bounds; zono; cert }
+                { lp_done with status = Verified; lb = infinity; cert }
             | Lp.Unbounded ->
                 (* Cannot happen with a bounded input box, but stay sound. *)
-                { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+                { lp_done with lb = cheap_lb }
             | Lp.Optimal { objective; primal; _ } ->
                 let lb = Float.max (objective +. const) cheap_lb in
-                if lb >= 0.0 then { status = Verified; lb; bounds = Some bounds; zono; cert }
+                if lb >= 0.0 then { lp_done with status = Verified; lb; cert }
                 else
                   let candidate = Array.sub primal 0 (Box.dim box) in
-                  let status = concrete_status net ~prop candidate in
-                  { status; lb; bounds = Some bounds; zono; cert = None }))
+                  { lp_done with status = concrete_status net ~prop candidate; lb }))
 
 let lp_triangle ?(deeppoly_shortcut = true) ?(warm = true) ?(certify = false) () =
   (* A shortcut verdict has no LP behind it, hence no certificate. *)
@@ -317,12 +271,14 @@ type milp_outcome = {
   nodes : int;
   lp_solves : int;
   witness : Vec.t option;
+  milp_lp : lp_report option;
 }
 
 let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible ->
-      { milp_status = Verified; milp_lb = infinity; nodes = 0; lp_solves = 0; witness = None }
+      { milp_status = Verified; milp_lb = infinity; nodes = 0; lp_solves = 0; witness = None;
+        milp_lp = None }
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
       let lp, const, binaries =
@@ -339,15 +295,23 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
          prunes at 0; a caller-supplied incumbent can only tighten the
          cutoff further (this is what "warm starting" amounts to). *)
       let cutoff = match incumbent with None -> 0.0 | Some v -> Float.min 0.0 v in
-      let report (stats : Ivan_lp.Milp.stats) =
-        Warm.record
-          {
-            Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
-            warm_misses = 0;
-            cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
-            pivots = stats.Ivan_lp.Milp.simplex_pivots;
-            basis = None;
-          }
+      let outcome (stats : Ivan_lp.Milp.stats) milp_status milp_lb witness =
+        {
+          milp_status;
+          milp_lb;
+          nodes = stats.Ivan_lp.Milp.nodes;
+          lp_solves = stats.Ivan_lp.Milp.lp_solves;
+          witness;
+          milp_lp =
+            Some
+              {
+                warm_hits = stats.Ivan_lp.Milp.warm_hits;
+                warm_misses = 0;
+                cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
+                pivots = stats.Ivan_lp.Milp.simplex_pivots;
+                basis = None;
+              };
+        }
       in
       match Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) ~warm lp ~integer:binaries with
       | Ivan_lp.Milp.Infeasible stats ->
@@ -355,27 +319,12 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
              cutoff.  With the default cutoff 0 that proves the
              property; with a negative warm cutoff it only bounds the
              minimum from below. *)
-          report stats;
-          {
-            milp_status = (if cutoff >= 0.0 then Verified else Unknown);
-            milp_lb = cutoff;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = None;
-          }
+          outcome stats (if cutoff >= 0.0 then Verified else Unknown) cutoff None
       | Ivan_lp.Milp.Node_limit stats | Ivan_lp.Milp.Solver_failure stats ->
           (* Capped or numerically failed search: inconclusive either
              way, never a fabricated answer. *)
-          report stats;
-          {
-            milp_status = Unknown;
-            milp_lb = neg_infinity;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = None;
-          }
+          outcome stats Unknown neg_infinity None
       | Ivan_lp.Milp.Optimal { objective; primal; stats } ->
-          report stats;
           let lb = objective +. const in
           let witness = Array.sub primal 0 (Box.dim box) in
           let status =
@@ -385,18 +334,12 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
               | Counterexample x -> Counterexample x
               | Verified | Unknown -> Unknown
           in
-          {
-            milp_status = status;
-            milp_lb = lb;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = Some witness;
-          })
+          outcome stats status lb (Some witness))
 
 let milp_exact ?(max_nodes = 100_000) ?(warm = true) () =
-  let run net ~prop ~box ~splits =
+  let run ?hint:_ net ~prop ~box ~splits =
     let o = milp_verify ~max_nodes ~warm net ~prop ~box ~splits in
-    { status = o.milp_status; lb = o.milp_lb; bounds = None; zono = None; cert = None }
+    { unknown with status = o.milp_status; lb = o.milp_lb; lp = o.milp_lp }
   in
   { name = "milp-exact"; run }
 
@@ -415,8 +358,6 @@ type fallback_event =
 (* Conditions the resilience layer must never swallow: they signal the
    process itself is in trouble, not one analyzer call. *)
 let fatal_exn = function Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false
-
-let degraded_outcome = { status = Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
 
 (* An outcome produced under possible faults is only trusted when it
    cannot violate soundness: no NaN bound, [Verified] only with a
@@ -441,7 +382,7 @@ let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy prim
           List.filter (fun a -> a.name <> primary.name) [ deeppoly (); interval () ]
         else []
   in
-  let run net ~prop ~box ~splits =
+  let run ?hint net ~prop ~box ~splits =
     (* Monotonic deadline: a wall-clock step (NTP) must not extend or
        shrink a node budget. *)
     let deadline =
@@ -451,10 +392,12 @@ let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy prim
     let timed_out () = deadline < infinity && Clock.monotonic () >= deadline in
     (* Try one analyzer with up to [max_retries] re-attempts.  The
        timeout is cooperative: analyzers are not preempted mid-call, but
-       no further attempt starts past the deadline. *)
-    let rec attempt a k =
+       no further attempt starts past the deadline.  Only the first
+       attempt of the primary sees the basis hint: a retry runs cold
+       rather than re-use a hint that may have caused the failure. *)
+    let rec attempt ?hint a k =
       let result =
-        try `Outcome (a.run net ~prop ~box ~splits)
+        try `Outcome (a.run ?hint net ~prop ~box ~splits)
         with e -> if fatal_exn e then raise e else `Raised (Printexc.to_string e)
       in
       let failure =
@@ -473,16 +416,16 @@ let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy prim
           end
           else `Failed reason
     in
-    let rec try_chain = function
-      | [] -> degraded_outcome
+    let rec try_chain ?hint = function
+      | [] -> unknown
       | a :: rest -> (
-          match attempt a 0 with
+          match attempt ?hint a 0 with
           | `Ok o ->
               if a.name <> primary.name then
                 notify (Fell_back { analyzer = a.name; reason = "degraded from " ^ primary.name });
               o
-          | `Failed _ -> if timed_out () then degraded_outcome else try_chain rest)
+          | `Failed _ -> if timed_out () then unknown else try_chain rest)
     in
-    try_chain (primary :: chain)
+    try_chain ?hint (primary :: chain)
   in
   { name = primary.name; run }

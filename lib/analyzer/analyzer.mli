@@ -17,6 +17,18 @@
 
 type status = Verified | Counterexample of Ivan_tensor.Vec.t | Unknown
 
+type lp_report = {
+  warm_hits : int;  (** solves warm-started successfully *)
+  warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
+  cold_solves : int;  (** solves that never attempted a warm start *)
+  pivots : int;  (** total simplex pivots across the call's solves *)
+  basis : Ivan_lp.Lp.Basis.t option;
+      (** basis to hand to child nodes as their [hint]; [None] when the
+          solve used a one-shot (non-reusable) encoding or did not end
+          [Optimal] *)
+}
+(** The LP work of one analyzer call. *)
+
 type outcome = {
   status : status;
   lb : float;
@@ -32,11 +44,17 @@ type outcome = {
           {!lp_triangle} with [certify] set — [None] from every other
           analyzer and from cheap-bound shortcuts, which the engine
           counts as certificate-unavailable *)
+  lp : lp_report option;  (** present iff the call solved an LP *)
 }
+
+val unknown : outcome
+(** The outcome that claims nothing: [Unknown] with [lb = neg_infinity]
+    and no bounds, certificate or LP report. *)
 
 type t = {
   name : string;
   run :
+    ?hint:Ivan_lp.Lp.Basis.t ->
     Ivan_nn.Network.t ->
     prop:Ivan_spec.Prop.t ->
     box:Ivan_spec.Box.t ->
@@ -44,7 +62,9 @@ type t = {
     outcome;
 }
 (** [box] is the subproblem's input region (equal to [prop.input] under
-    ReLU splitting; a sub-box under input splitting). *)
+    ReLU splitting; a sub-box under input splitting).  [hint] is the
+    parent node's optimal simplex basis (its outcome's [lp.basis]);
+    LP-backed analyzers warm-start from it, all others ignore it. *)
 
 val instrument :
   on_run:(name:string -> elapsed:float -> outcome:outcome -> unit) -> t -> t
@@ -70,43 +90,10 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
 
     Node LPs come from a persistent per-(network, property) encoding
     ({!Encoding.Triangle}) specialized in place per subproblem, and when
-    [warm] is true (default) a parent basis offered through {!Warm} is
-    used to warm-start the simplex ({!Ivan_lp.Lp.solve_from}).  [warm]
-    only toggles the solver entry point — warm and cold runs share the
-    identical specialized LP, so verdicts and bounds are unchanged. *)
-
-(** {2 Warm-start side channel}
-
-    The BaB engine offers a parent node's simplex basis before an
-    analyzer call and collects the solve report afterwards.  Both slots
-    are domain-local and consumed on read: parallel runner workers never
-    observe each other's bases, and an analyzer retry (under
-    {!with_fallback}) runs cold rather than re-using a hint that may
-    have contributed to the failure.  Analyzers without an LP back-end
-    simply never touch the channel. *)
-module Warm : sig
-  type lp_info = {
-    warm_hits : int;  (** solves warm-started successfully *)
-    warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
-    cold_solves : int;  (** solves that never attempted a warm start *)
-    pivots : int;  (** total simplex pivots across the call's solves *)
-    basis : Ivan_lp.Lp.Basis.t option;
-        (** basis to offer to child nodes; [None] when the solve used a
-            one-shot (non-reusable) encoding or did not end [Optimal] *)
-  }
-
-  val offer : Ivan_lp.Lp.Basis.t -> unit
-  (** Stage a parent basis for the next LP-backed analyzer call on this
-      domain. *)
-
-  val clear : unit -> unit
-  (** Drop any staged hint and pending report (call before analyzing a
-      node with no usable parent basis). *)
-
-  val collect : unit -> lp_info option
-  (** The report of the most recent LP-backed analyzer call, if any;
-      consumes the slot. *)
-end
+    [warm] is true (default) the [hint] basis warm-starts the simplex
+    ({!Ivan_lp.Lp.solve_from}).  [warm] only toggles the solver entry
+    point — warm and cold runs share the identical specialized LP, so
+    verdicts and bounds are unchanged. *)
 
 val zonotope : unit -> t
 
@@ -140,6 +127,7 @@ type milp_outcome = {
   nodes : int;  (** branch-and-bound nodes explored *)
   lp_solves : int;
   witness : Ivan_tensor.Vec.t option;  (** minimizing input, if found *)
+  milp_lp : lp_report option;  (** the LP work of the search, if it ran *)
 }
 
 val milp_verify :

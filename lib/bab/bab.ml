@@ -6,7 +6,7 @@ type budget = Engine.budget = { max_analyzer_calls : int; max_seconds : float }
 
 let default_budget = Engine.default_budget
 
-type stats = Engine.stats = {
+type stats = Trace.stats = {
   analyzer_calls : int;
   branchings : int;
   tree_size : int;

@@ -21,7 +21,7 @@ type budget = Engine.budget = {
 val default_budget : budget
 (** 10_000 analyzer calls, no time limit. *)
 
-type stats = Engine.stats = {
+type stats = Trace.stats = {
   analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
   branchings : int;  (** node branchings *)
   tree_size : int;  (** [|Nodes(T_f)|] *)

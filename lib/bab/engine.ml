@@ -14,26 +14,10 @@ let default_budget = { max_analyzer_calls = 10_000; max_seconds = infinity }
 
 let default_journal_every = 32
 
-type stats = {
-  analyzer_calls : int;
-  branchings : int;
-  tree_size : int;
-  tree_leaves : int;
-  elapsed_seconds : float;
-  analyzer_seconds : float;
-  max_frontier : int;
-  max_depth : int;
-  heuristic_failures : int;
-  retries : int;
-  fallback_bounds : int;
-  faults_absorbed : int;
-  lp_warm_hits : int;
-  lp_warm_misses : int;
-  lp_cold_solves : int;
-  lp_pivots : int;
-  certs_emitted : int;
-  certs_unavailable : int;
-}
+(* Steps between wall-clock budget checks. *)
+let check_time_every = 8
+
+type stats = Trace.stats
 
 type verdict = Proved | Disproved of Ivan_tensor.Vec.t | Exhausted
 
@@ -44,64 +28,43 @@ type run = {
   artifact : Cert.Artifact.t option;
 }
 
-(* The resilience counters are refs rather than mutable fields: the
-   fallback [notify] closure is built before the record exists (the
-   wrapped analyzer is a [create]-time input of the record).  The same
-   holds for the journal event buffer [jbuf] and the [journaling] flag —
-   resilience events raised inside an analyzer call must land in the
-   step's journal frame too. *)
+(* The engine state.  {!apply} is its only mutator: [step] computes
+   (dequeue, analyzer call, heuristic) and emits events, and every event
+   — live, or replayed from a journal — changes the state through
+   [apply] alone. *)
 type t = {
-  analyzer : Analyzer.t;  (* instrumented: each call records into [last_call] *)
+  mutable analyzer : Analyzer.t;  (* wrapped by the resilience policy once [t] exists *)
   heuristic : Heuristic.t;
   budget : budget;
-  check_time_every : int;
   trace : Trace.sink;
   net : Network.t;
   prop : Prop.t;
   tree : Tree.t;
   frontier : Tree.node Frontier.t;
   started : float;
-  last_call : float ref;
-  current_node : int ref;  (* node id under analysis, for resilience events *)
-  retries : int ref;
-  fallback_bounds : int ref;
-  faults_absorbed : int ref;
-  (* Warm-start plumbing: frontier nodes whose parent solved an LP have
-     the parent's optimal basis parked here until they are dequeued.
-     The table is engine-local bookkeeping, not verification state — a
-     restored checkpoint simply starts its nodes cold. *)
+  mutable current : Tree.node option;  (* the node the step in flight dequeued *)
+  (* Warm-start cache: the parent's optimal basis for each frontier node
+     whose parent solved an LP.  A performance cache, not verification
+     state — events do not carry bases, so replayed nodes start cold. *)
   bases : (int, Lp.Basis.t) Hashtbl.t;
   certify : bool;
   (* Per-leaf certificates keyed by node id, self-checked in exact
      arithmetic before being admitted; assembled into the run's proof
-     artifact at [finish].  Like [bases], the table is engine-local:
-     checkpoints serialize only the counters, so a restored run cannot
-     produce a complete artifact for leaves verified before the
-     checkpoint (they count as unavailable in the final artifact check,
+     artifact.  Like [bases], certificates travel beside their events,
+     never inside them: a resumed run holds none for the leaves verified
+     before the resume (they count as missing in the artifact check,
      never as silently certified). *)
   certs : (int, Cert.leaf) Hashtbl.t;
-  (* Write-ahead journal: events of the step in flight accumulate in
+  (* Write-ahead journal: the events of the step in flight accumulate in
      [jbuf] (newest first) and are flushed as one atomic Step frame when
      the step completes; every [journal_every] Step frames (and at the
      terminal step) a Checkpoint frame folds the whole prefix. *)
   mutable journal : Journal.writer option;
   mutable journal_every : int;
-  journaling : bool ref;
-  jbuf : Trace.event list ref;
+  mutable jbuf : Trace.event list;
   mutable jsteps : int;  (* Step frames since the last Checkpoint frame *)
   mutable steps : int;
-  mutable calls : int;
-  mutable branchings : int;
-  mutable analyzer_seconds : float;
-  mutable max_frontier : int;
-  mutable max_depth : int;
-  mutable heuristic_failures : int;
-  mutable lp_warm_hits : int;
-  mutable lp_warm_misses : int;
-  mutable lp_cold_solves : int;
-  mutable lp_pivots : int;
-  mutable certs_emitted : int;
-  mutable certs_unavailable : int;
+  mutable stats : stats;
   mutable finished : run option;
 }
 
@@ -115,128 +78,13 @@ let status_label = function
   | Analyzer.Counterexample _ -> "counterexample"
   | Analyzer.Unknown -> "unknown"
 
-(* Shared constructor behind [create] and [restore]: wires the
-   resilience wrapper and instrumentation around the analyzer and seeds
-   the counters; the frontier starts empty and is filled by the
-   caller. *)
-let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-    ~journal ~journal_every ~tree ~net ~prop ~started ~steps ~calls ~branchings
-    ~analyzer_seconds ~max_frontier ~max_depth ~heuristic_failures ~retries:retries0
-    ~fallback_bounds:fallback_bounds0 ~faults_absorbed:faults_absorbed0 ~lp_warm_hits
-    ~lp_warm_misses ~lp_cold_solves ~lp_pivots ~certs_emitted ~certs_unavailable () =
-  if Box.dim prop.Prop.input <> Network.input_dim net then
-    invalid_arg "Engine.create: property dimension does not match the network";
-  if check_time_every <= 0 then invalid_arg "Engine.create: check_time_every must be positive";
-  if journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
-  let last_call = ref 0.0 in
-  let current_node = ref (-1) in
-  let retries = ref retries0 in
-  let fallback_bounds = ref fallback_bounds0 in
-  let faults_absorbed = ref faults_absorbed0 in
-  let journaling = ref (journal <> None) in
-  let jbuf = ref [] in
-  let analyzer =
-    match policy with
-    | None -> analyzer
-    | Some policy ->
-        let notify reason =
-          let ev =
-            match reason with
-            | Analyzer.Retried { analyzer; attempt; reason } ->
-                incr retries;
-                Trace.Retried { node = !current_node; analyzer; attempt; reason }
-            | Analyzer.Fell_back { analyzer; reason } ->
-                incr fallback_bounds;
-                Trace.Fallback { node = !current_node; analyzer; reason }
-            | Analyzer.Absorbed { analyzer; reason } ->
-                incr faults_absorbed;
-                Trace.Absorbed { node = !current_node; analyzer; reason }
-          in
-          Trace.emit trace ev;
-          if !journaling then jbuf := ev :: !jbuf
-        in
-        Analyzer.with_fallback ~notify ~policy analyzer
-  in
-  let analyzer =
-    (* Instrument outside the fallback wrapper so [analyzer_seconds]
-       includes time burnt in retries and degraded attempts. *)
-    Analyzer.instrument ~on_run:(fun ~name:_ ~elapsed ~outcome:_ -> last_call := elapsed) analyzer
-  in
-  {
-    analyzer;
-    heuristic;
-    budget;
-    check_time_every;
-    trace;
-    net;
-    prop;
-    tree;
-    frontier = Frontier.create strategy;
-    started;
-    last_call;
-    current_node;
-    retries;
-    fallback_bounds;
-    faults_absorbed;
-    bases = Hashtbl.create 64;
-    certify;
-    certs = Hashtbl.create 64;
-    journal;
-    journal_every;
-    journaling;
-    jbuf;
-    jsteps = 0;
-    steps;
-    calls;
-    branchings;
-    analyzer_seconds;
-    max_frontier;
-    max_depth;
-    heuristic_failures;
-    lp_warm_hits;
-    lp_warm_misses;
-    lp_cold_solves;
-    lp_pivots;
-    certs_emitted;
-    certs_unavailable;
-    finished = None;
-  }
-
-(* Emit to the trace sink and, when a journal is attached, buffer the
-   event for the step's journal frame. *)
-let emit t ev =
-  Trace.emit t.trace ev;
-  if !(t.journaling) then t.jbuf := ev :: !(t.jbuf)
-
 let tree t = t.tree
 
-let calls t = t.calls
+let calls t = t.stats.analyzer_calls
 
 let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
-
-let stats_of t ~elapsed =
-  {
-    analyzer_calls = t.calls;
-    branchings = t.branchings;
-    tree_size = Tree.size t.tree;
-    tree_leaves = Tree.num_leaves t.tree;
-    elapsed_seconds = elapsed;
-    analyzer_seconds = t.analyzer_seconds;
-    max_frontier = t.max_frontier;
-    max_depth = t.max_depth;
-    heuristic_failures = t.heuristic_failures;
-    retries = !(t.retries);
-    fallback_bounds = !(t.fallback_bounds);
-    faults_absorbed = !(t.faults_absorbed);
-    lp_warm_hits = t.lp_warm_hits;
-    lp_warm_misses = t.lp_warm_misses;
-    lp_cold_solves = t.lp_cold_solves;
-    lp_pivots = t.lp_pivots;
-    certs_emitted = t.certs_emitted;
-    certs_unavailable = t.certs_unavailable;
-  }
 
 (* The proof artifact of a certified run: the final tree with one
    checked certificate per verified leaf ([Proved]), or the concrete
@@ -245,42 +93,151 @@ let stats_of t ~elapsed =
    reports them as missing rather than this code guessing.  An
    [Exhausted] run proves nothing, so it carries no artifact. *)
 let artifact_of t verdict =
+  let artifact verdict leaves =
+    Some { Cert.Artifact.net = t.net; prop = t.prop; verdict; tree = t.tree; leaves }
+  in
   if not t.certify then None
   else
     match verdict with
     | Exhausted -> None
     | Proved ->
-        let leaves =
-          List.filter_map
-            (fun n -> Hashtbl.find_opt t.certs (Tree.node_id n))
-            (Tree.leaves t.tree)
-        in
-        Some
-          {
-            Cert.Artifact.net = t.net;
-            prop = t.prop;
-            verdict = Cert.Artifact.Proved;
-            tree = t.tree;
-            leaves;
-          }
-    | Disproved x ->
-        Some
-          {
-            Cert.Artifact.net = t.net;
-            prop = t.prop;
-            verdict = Cert.Artifact.Disproved (Array.copy x);
-            tree = t.tree;
-            leaves = [];
-          }
+        artifact Cert.Artifact.Proved
+          (List.filter_map (fun n -> Hashtbl.find_opt t.certs (Tree.node_id n)) (Tree.leaves t.tree))
+    | Disproved x -> artifact (Cert.Artifact.Disproved (Array.copy x)) []
+
+(* ------------------------------------------------------------------ *)
+(* The state transition *)
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+(* Every event of a step is about the node that step dequeued. *)
+let current t id =
+  match t.current with
+  | Some n when Tree.node_id n = id -> n
+  | _ -> fail "event for node %d outside its step" id
+
+let current_id t = match t.current with Some n -> Tree.node_id n | None -> -1
+
+(* Apply one event to the state.  [basis] and [leaf] are the data a live
+   step has beside its event — the node's solved LP basis (parked for
+   the children of a [Split]) and its checked certificate (kept for a
+   [Certified] leaf); replay has neither.  A replayed event that does
+   not fit the state (a diverging journal) raises [Failure]. *)
+let apply ?basis ?leaf t ev =
+  if Option.is_some t.finished then fail "event after the terminal verdict";
+  t.stats <- Trace.count t.stats ev;
+  match ev with
+  | Trace.Dequeued { node; frontier; _ } -> (
+      if Frontier.length t.frontier <> frontier then
+        fail "frontier length diverged at node %d (event %d, engine %d)" node frontier
+          (Frontier.length t.frontier);
+      match Frontier.pop t.frontier with
+      | Some n when Tree.node_id n = node ->
+          t.steps <- t.steps + 1;
+          t.current <- Some n;
+          Hashtbl.remove t.bases node
+      | _ -> fail "frontier order diverged at node %d" node)
+  | Trace.Analyzed { node; lb; _ } -> Tree.set_lb (current t node) lb
+  | Trace.Split { node; decision; left; right } ->
+      let n = current t node in
+      let l, r = Tree.split t.tree n decision in
+      if Tree.node_id l <> left || Tree.node_id r <> right then
+        fail "split of node %d minted ids %d/%d, the event says %d/%d" node (Tree.node_id l)
+          (Tree.node_id r) left right;
+      Option.iter
+        (fun b ->
+          Hashtbl.replace t.bases left b;
+          Hashtbl.replace t.bases right b)
+        basis;
+      (* Children inherit the parent's bound as their best-first
+         priority until analyzed. *)
+      Frontier.push t.frontier ~priority:(Tree.lb n) l;
+      Frontier.push t.frontier ~priority:(Tree.lb n) r
+  | Trace.Stuck { node } ->
+      (* An unverified leaf never leaves the frontier: a stuck run that
+         is resumed with more budget must come back to it rather than
+         prove the property without it. *)
+      let n = current t node in
+      Frontier.push t.frontier ~priority:(Tree.lb n) n
+  | Trace.Certified { node; _ } -> Option.iter (Hashtbl.replace t.certs node) leaf
+  | Trace.Verdict { verdict; counterexample; _ } ->
+      let verdict =
+        match (verdict, counterexample) with
+        | "proved", _ -> Proved
+        | "exhausted", _ -> Exhausted
+        | "disproved", Some x -> Disproved x
+        | v, _ -> fail "malformed verdict %S" v
+      in
+      t.finished <-
+        Some { verdict; tree = t.tree; stats = t.stats; artifact = artifact_of t verdict }
+  | Trace.Lp_solved _ | Trace.Retried _ | Trace.Fallback _ | Trace.Absorbed _ -> ()
+  | Trace.Pruned _ -> fail "unexpected pruner event"
+
+(* Apply, then observe: the trace sink and, when a journal is attached,
+   the step's journal frame. *)
+let emit ?basis ?leaf t ev =
+  apply ?basis ?leaf t ev;
+  Trace.emit t.trace ev;
+  if Option.is_some t.journal then t.jbuf <- ev :: t.jbuf
+
+(* Shared constructor behind [create] and journal resume: the frontier
+   starts empty and is filled by the caller. *)
+let make ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify ~net ~prop ~tree ~stats
+    ~steps ~elapsed =
+  if Box.dim prop.Prop.input <> Network.input_dim net then
+    invalid_arg "Engine.create: property dimension does not match the network";
+  let t =
+    {
+      analyzer;
+      heuristic;
+      budget;
+      trace;
+      net;
+      prop;
+      tree;
+      frontier = Frontier.create strategy;
+      started = Clock.monotonic () -. elapsed;
+      current = None;
+      bases = Hashtbl.create 64;
+      certify;
+      certs = Hashtbl.create 64;
+      journal = None;
+      journal_every = default_journal_every;
+      jbuf = [];
+      jsteps = 0;
+      steps;
+      stats;
+      finished = None;
+    }
+  in
+  Option.iter
+    (fun policy ->
+      let notify = function
+        | Analyzer.Retried { analyzer; attempt; reason } ->
+            emit t (Trace.Retried { node = current_id t; analyzer; attempt; reason })
+        | Analyzer.Fell_back { analyzer; reason } ->
+            emit t (Trace.Fallback { node = current_id t; analyzer; reason })
+        | Analyzer.Absorbed { analyzer; reason } ->
+            emit t (Trace.Absorbed { node = current_id t; analyzer; reason })
+      in
+      t.analyzer <- Analyzer.with_fallback ~notify ~policy analyzer)
+    policy;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Stepping *)
 
 let finish t verdict =
-  let elapsed = Clock.monotonic () -. t.started in
-  let run =
-    { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-  in
-  emit t (Trace.Verdict { verdict = verdict_label verdict; calls = t.calls; seconds = elapsed });
-  t.finished <- Some run;
-  run
+  let counterexample = match verdict with Disproved x -> Some x | Proved | Exhausted -> None in
+  emit t
+    (Trace.Verdict
+       {
+         verdict = verdict_label verdict;
+         calls = t.stats.analyzer_calls;
+         seconds = Clock.monotonic () -. t.started;
+         counterexample;
+       });
+  Option.get t.finished
 
 (* The wall-clock budget is checked centrally, once every
    [check_time_every] steps (including step 0, so a zero budget fires
@@ -289,220 +246,110 @@ let finish t verdict =
    clock has not advanced a full tick since [create]. *)
 let out_of_time t =
   t.budget.max_seconds < infinity
-  && t.steps mod t.check_time_every = 0
+  && t.steps mod check_time_every = 0
   && Clock.monotonic () -. t.started >= t.budget.max_seconds
+
+(* Certificate collection: re-check the analyzer's evidence in exact
+   arithmetic right now, so the table only ever holds certificates the
+   independent checker will accept — a float-drift certificate that
+   fails the exact check is counted unavailable, never emitted
+   broken. *)
+let certify_leaf t node (outcome : Analyzer.outcome) =
+  let id = Tree.node_id node in
+  let leaf =
+    Option.bind outcome.Analyzer.cert (fun evidence ->
+        let leaf =
+          { Cert.node = id; splits = Cert.splits_fingerprint (Tree.path_decisions node); evidence }
+        in
+        match Cert.check_leaf ~box:t.prop.Prop.input leaf with Ok () -> Some leaf | Error _ -> None)
+  in
+  let kind =
+    match leaf with
+    | None -> "unavailable"
+    | Some l -> (
+        match l.Cert.evidence.Cert.witness with
+        | Lp.Certificate.Dual _ -> "dual"
+        | Lp.Certificate.Farkas _ -> "farkas")
+  in
+  emit ?leaf t (Trace.Certified { node = id; kind })
 
 type status = Running | Finished of run
 
 let step_once t =
   match t.finished with
   | Some run -> Finished run
-  | None ->
-      if Frontier.is_empty t.frontier then Finished (finish t Proved)
-      else if t.calls >= t.budget.max_analyzer_calls || out_of_time t then
-        Finished (finish t Exhausted)
-      else begin
-        t.steps <- t.steps + 1;
-        let frontier_now = Frontier.length t.frontier in
-        t.max_frontier <- max t.max_frontier frontier_now;
-        let node = match Frontier.pop t.frontier with Some n -> n | None -> assert false in
-        let id = Tree.node_id node in
-        let depth = List.length (Tree.path_decisions node) in
-        t.max_depth <- max t.max_depth depth;
-        emit t (Trace.Dequeued { node = id; depth; frontier = frontier_now });
-        let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
-        t.calls <- t.calls + 1;
-        t.current_node := id;
-        (* Stage the parent's simplex basis (if the parent solved an LP)
-           for the analyzer's warm start; otherwise make sure no stale
-           hint from an earlier node is lying around. *)
-        (match Hashtbl.find_opt t.bases id with
-        | Some b ->
-            Hashtbl.remove t.bases id;
-            Analyzer.Warm.offer b
-        | None -> Analyzer.Warm.clear ());
-        let outcome =
-          (* Last line of defense: even without a resilience policy, a
-             non-fatal analyzer exception degrades this node to Unknown
-             instead of crashing a run holding a reusable tree. *)
-          try t.analyzer.Analyzer.run t.net ~prop:t.prop ~box ~splits
-          with e when not (Analyzer.fatal_exn e) ->
-            incr t.faults_absorbed;
-            emit t
-              (Trace.Absorbed
-                 { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
-            { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
-        in
-        t.analyzer_seconds <- t.analyzer_seconds +. !(t.last_call);
-        (* Collect the LP report, if the analyzer solved any: counters
-           for the run's stats, and the node's optimal basis to hand to
-           its children (below, if it splits). *)
-        let solved_basis =
-          match Analyzer.Warm.collect () with
-          | None -> None
-          | Some info ->
-              t.lp_warm_hits <- t.lp_warm_hits + info.Analyzer.Warm.warm_hits;
-              t.lp_warm_misses <- t.lp_warm_misses + info.Analyzer.Warm.warm_misses;
-              t.lp_cold_solves <- t.lp_cold_solves + info.Analyzer.Warm.cold_solves;
-              t.lp_pivots <- t.lp_pivots + info.Analyzer.Warm.pivots;
+  | None -> (
+      match Frontier.peek t.frontier with
+      | None -> Finished (finish t Proved)
+      | Some _ when t.stats.analyzer_calls >= t.budget.max_analyzer_calls || out_of_time t ->
+          Finished (finish t Exhausted)
+      | Some node -> (
+          let id = Tree.node_id node in
+          let hint = Hashtbl.find_opt t.bases id in
+          emit t
+            (Trace.Dequeued
+               {
+                 node = id;
+                 depth = List.length (Tree.path_decisions node);
+                 frontier = Frontier.length t.frontier;
+               });
+          let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
+          let t0 = Clock.monotonic () in
+          let outcome =
+            (* Last line of defense: even without a resilience policy, a
+               non-fatal analyzer exception degrades this node to Unknown
+               instead of crashing a run holding a reusable tree. *)
+            try t.analyzer.Analyzer.run ?hint t.net ~prop:t.prop ~box ~splits
+            with e when not (Analyzer.fatal_exn e) ->
+              emit t
+                (Trace.Absorbed
+                   { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
+              Analyzer.unknown
+          in
+          let seconds = Clock.monotonic () -. t0 in
+          Option.iter
+            (fun (r : Analyzer.lp_report) ->
               emit t
                 (Trace.Lp_solved
                    {
                      node = id;
-                     warm_hits = info.Analyzer.Warm.warm_hits;
-                     warm_misses = info.Analyzer.Warm.warm_misses;
-                     cold_solves = info.Analyzer.Warm.cold_solves;
-                     pivots = info.Analyzer.Warm.pivots;
-                   });
-              info.Analyzer.Warm.basis
-        in
-        emit t
-          (Trace.Analyzed
-             {
-               node = id;
-               status = status_label outcome.Analyzer.status;
-               lb = outcome.Analyzer.lb;
-               seconds = !(t.last_call);
-             });
-        Tree.set_lb node outcome.Analyzer.lb;
-        match outcome.Analyzer.status with
-        | Analyzer.Verified ->
-            (* Certificate collection: re-check the analyzer's evidence
-               in exact arithmetic right now, so the table only ever
-               holds certificates the independent checker will accept —
-               a float-drift cert that fails the exact check is counted
-               unavailable, never emitted broken. *)
-            if t.certify then begin
-              let kind =
-                match outcome.Analyzer.cert with
-                | None -> "unavailable"
-                | Some evidence -> (
-                    let leaf =
-                      {
-                        Cert.node = id;
-                        splits = Cert.splits_fingerprint (Tree.path_decisions node);
-                        evidence;
-                      }
-                    in
-                    match Cert.check_leaf ~box:t.prop.Prop.input leaf with
-                    | Ok () ->
-                        Hashtbl.replace t.certs id leaf;
-                        (match evidence.Cert.witness with
-                        | Lp.Certificate.Dual _ -> "dual"
-                        | Lp.Certificate.Farkas _ -> "farkas")
-                    | Error _ -> "unavailable")
-              in
-              if kind = "unavailable" then t.certs_unavailable <- t.certs_unavailable + 1
-              else t.certs_emitted <- t.certs_emitted + 1;
-              emit t (Trace.Certified { node = id; kind })
-            end;
-            Running
-        | Analyzer.Counterexample x -> Finished (finish t (Disproved x))
-        | Analyzer.Unknown -> (
-            let ctx = { Heuristic.net = t.net; prop = t.prop; box; splits; outcome } in
-            match Heuristic.best (t.heuristic.Heuristic.scores ctx) with
-            | None ->
-                (* No decision can refine this node further; the
-                   analyzer is exact here, so this only happens on
-                   numerical failure.  Count and trace it distinctly,
-                   then stop — the budget was not the problem. *)
-                t.heuristic_failures <- t.heuristic_failures + 1;
-                emit t (Trace.Stuck { node = id });
-                Finished (finish t Exhausted)
-            | Some d ->
-                let left, right = Tree.split t.tree node d in
-                t.branchings <- t.branchings + 1;
-                emit t
-                  (Trace.Split
-                     {
-                       node = id;
-                       decision = d;
-                       left = Tree.node_id left;
-                       right = Tree.node_id right;
-                     });
-                (* Children inherit the parent's freshly computed bound
-                   as their best-first priority until analyzed, and the
-                   parent's simplex basis as their warm start. *)
-                (match solved_basis with
-                | None -> ()
-                | Some b ->
-                    Hashtbl.replace t.bases (Tree.node_id left) b;
-                    Hashtbl.replace t.bases (Tree.node_id right) b);
-                Frontier.push t.frontier ~priority:outcome.Analyzer.lb left;
-                Frontier.push t.frontier ~priority:outcome.Analyzer.lb right;
-                Running)
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint / restore.
-
-   A checkpoint is a self-delimiting text document: a fixed-order header
-   of counters, the terminal state, the frontier as (node id, priority)
-   pairs in re-push order, and the specification tree in its
-   {!Tree.to_string} format (which preserves node ids, so the frontier
-   references survive the round trip).  The analyzer, heuristic and
-   network are code, not state — [restore] takes them as arguments. *)
-
-(* [float_of_string_opt] accepts the "inf"/"-inf"/"nan" spellings %.17g
-   produces for non-finite values, so no special casing is needed when
-   reading tokens back. *)
-let float_token v = Printf.sprintf "%.17g" v
-
-let verdict_to_tokens = function
-  | Proved -> "proved"
-  | Exhausted -> "exhausted"
-  | Disproved x ->
-      "disproved"
-      ^ String.concat "" (List.map (fun v -> " " ^ float_token v) (Array.to_list x))
-
-let checkpoint t =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let elapsed =
-    match t.finished with
-    | Some r -> r.stats.elapsed_seconds
-    | None -> Clock.monotonic () -. t.started
-  in
-  add "ivan-checkpoint 3";
-  add "strategy: %s" (Frontier.strategy_name (Frontier.strategy t.frontier));
-  add "max_calls: %d" t.budget.max_analyzer_calls;
-  add "max_seconds: %s" (float_token t.budget.max_seconds);
-  add "check_time_every: %d" t.check_time_every;
-  add "steps: %d" t.steps;
-  add "calls: %d" t.calls;
-  add "branchings: %d" t.branchings;
-  add "analyzer_seconds: %s" (float_token t.analyzer_seconds);
-  add "max_frontier: %d" t.max_frontier;
-  add "max_depth: %d" t.max_depth;
-  add "heuristic_failures: %d" t.heuristic_failures;
-  add "retries: %d" !(t.retries);
-  add "fallback_bounds: %d" !(t.fallback_bounds);
-  add "faults_absorbed: %d" !(t.faults_absorbed);
-  add "lp_warm_hits: %d" t.lp_warm_hits;
-  add "lp_warm_misses: %d" t.lp_warm_misses;
-  add "lp_cold_solves: %d" t.lp_cold_solves;
-  add "lp_pivots: %d" t.lp_pivots;
-  add "certs_emitted: %d" t.certs_emitted;
-  add "certs_unavailable: %d" t.certs_unavailable;
-  add "elapsed: %s" (float_token elapsed);
-  add "finished: %s"
-    (match t.finished with None -> "running" | Some r -> verdict_to_tokens r.verdict);
-  add "frontier:%s"
-    (String.concat ""
-       (List.map
-          (fun (p, n) -> Printf.sprintf " %d %s" (Tree.node_id n) (float_token p))
-          (Frontier.elements t.frontier)));
-  add "tree:";
-  Buffer.add_string buf (Tree.to_string t.tree);
-  Buffer.contents buf
-
-let checkpoint_to_file t path =
-  (* Write-then-rename so a crash mid-write never leaves a truncated
-     checkpoint at the target path. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (checkpoint t));
-  Sys.rename tmp path
+                     warm_hits = r.warm_hits;
+                     warm_misses = r.warm_misses;
+                     cold_solves = r.cold_solves;
+                     pivots = r.pivots;
+                   }))
+            outcome.Analyzer.lp;
+          emit t
+            (Trace.Analyzed
+               {
+                 node = id;
+                 status = status_label outcome.Analyzer.status;
+                 lb = outcome.Analyzer.lb;
+                 seconds;
+               });
+          match outcome.Analyzer.status with
+          | Analyzer.Verified ->
+              if t.certify then certify_leaf t node outcome;
+              Running
+          | Analyzer.Counterexample x -> Finished (finish t (Disproved x))
+          | Analyzer.Unknown -> (
+              let ctx = { Heuristic.net = t.net; prop = t.prop; box; splits; outcome } in
+              match Heuristic.best (t.heuristic.Heuristic.scores ctx) with
+              | None ->
+                  (* No decision can refine this node further; the
+                     analyzer is exact here, so this only happens on
+                     numerical failure.  Count and trace it distinctly,
+                     then stop — the budget was not the problem. *)
+                  emit t (Trace.Stuck { node = id });
+                  Finished (finish t Exhausted)
+              | Some decision ->
+                  let left = Tree.next_id t.tree in
+                  (* The children warm-start from this node's basis. *)
+                  emit
+                    ?basis:(Option.bind outcome.Analyzer.lp (fun r -> r.Analyzer.basis))
+                    t
+                    (Trace.Split { node = id; decision; left; right = left + 1 });
+                  Running)))
 
 (* ------------------------------------------------------------------ *)
 (* Write-ahead journal.
@@ -510,12 +357,16 @@ let checkpoint_to_file t path =
    Frame protocol (see {!Ivan_resilience.Journal} for the byte layout):
    a Header frame carrying the config fingerprint opens every run; each
    completed engine step appends exactly one Step frame holding the
-   step's trace events as JSONL (atomic: a step is journaled whole or
-   not at all); every [journal_every] steps — and always at the terminal
-   step — a Checkpoint frame folds the entire prefix, bounding recovery
-   replay.  Frames are flushed as they are appended, so after a kill the
-   journal is a valid prefix plus at most one torn frame, which
-   {!Journal.scan} drops. *)
+   step's events as JSONL (atomic: a step is journaled whole or not at
+   all); every [journal_every] steps — and always at the terminal step —
+   a Checkpoint frame folds the entire prefix into a snapshot of the
+   state, bounding recovery replay.  Frames are flushed as they are
+   appended, so after a kill the journal is a valid prefix plus at most
+   one torn frame, which {!Journal.scan} drops. *)
+
+(* [float_of_string] accepts the "inf"/"-inf"/"nan" spellings %.17g
+   produces for non-finite values, so tokens read back unchanged. *)
+let float_token v = Printf.sprintf "%.17g" v
 
 let fingerprint ~net ~prop =
   let buf = Buffer.create 4096 in
@@ -537,37 +388,75 @@ let fingerprint ~net ~prop =
   Buffer.add_string buf (float_token prop.Prop.offset);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let journal_checkpoint t w =
-  Journal.append w Journal.Checkpoint (checkpoint t);
-  t.jsteps <- 0
+(* The Checkpoint payload: the state the events have folded so far.
+   The analyzer, heuristic, network and property are code, not state —
+   resume takes them as arguments. *)
+let snapshot t =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') buf fmt in
+  let s = t.stats in
+  let elapsed =
+    match t.finished with
+    | Some r -> r.stats.elapsed_seconds
+    | None -> Clock.monotonic () -. t.started
+  in
+  line "ivan-checkpoint";
+  line "strategy %s" (Frontier.strategy_name (Frontier.strategy t.frontier));
+  line "budget %d %s" t.budget.max_analyzer_calls (float_token t.budget.max_seconds);
+  line "steps %d" t.steps;
+  line "stats %d %d %d %d %s %s %d %d %d %d %d %d %d %d %d %d %d %d" s.analyzer_calls s.branchings
+    s.tree_size s.tree_leaves (float_token elapsed) (float_token s.analyzer_seconds) s.max_frontier
+    s.max_depth s.heuristic_failures s.retries s.fallback_bounds s.faults_absorbed s.lp_warm_hits
+    s.lp_warm_misses s.lp_cold_solves s.lp_pivots s.certs_emitted s.certs_unavailable;
+  line "verdict %s"
+    (match t.finished with
+    | None -> "running"
+    | Some { verdict = Disproved x; _ } ->
+        String.concat " " ("disproved" :: List.map float_token (Array.to_list x))
+    | Some r -> verdict_label r.verdict);
+  line "frontier%s"
+    (String.concat ""
+       (List.map
+          (fun (p, n) -> Printf.sprintf " %d %s" (Tree.node_id n) (float_token p))
+          (Frontier.elements t.frontier)));
+  line "tree";
+  Buffer.add_string buf (Tree.to_string t.tree);
+  Buffer.contents buf
+
+let compacted_journal t =
+  Journal.encode_frame Journal.Header (fingerprint ~net:t.net ~prop:t.prop)
+  ^ Journal.encode_frame Journal.Checkpoint (snapshot t)
+
+let fold_journal t =
+  Option.iter
+    (fun w ->
+      Journal.append w Journal.Checkpoint (snapshot t);
+      t.jsteps <- 0)
+    t.journal
 
 (* Attach a journal sink to an engine.  [fresh_run] appends a Header
    frame unconditionally (a new run in a possibly shared journal);
-   otherwise the Header is only written when the sink is empty, so
-   restoring into an existing journal continues its current run. *)
+   otherwise the Header is only written when the sink is empty, so a
+   resumed engine continues the journal's current run. *)
 let attach_journal t ~fresh_run journal journal_every =
-  match journal with
-  | None -> ()
-  | Some w ->
+  if journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
+  Option.iter
+    (fun w ->
       t.journal <- Some w;
       t.journal_every <- journal_every;
-      t.journaling := true;
       if fresh_run || Journal.appends w = 0 then
         Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
-      journal_checkpoint t w
+      fold_journal t)
+    journal
 
 let flush_step t =
-  match t.journal with
-  | None -> t.jbuf := []
-  | Some w -> (
-      match List.rev !(t.jbuf) with
-      | [] -> ()
-      | events ->
-          t.jbuf := [];
-          let payload = String.concat "\n" (List.map Trace.event_to_json events) in
-          Journal.append w Journal.Step payload;
-          t.jsteps <- t.jsteps + 1;
-          if t.finished <> None || t.jsteps >= t.journal_every then journal_checkpoint t w)
+  match (t.journal, t.jbuf) with
+  | None, _ | _, [] -> ()
+  | Some w, events ->
+      t.jbuf <- [];
+      Journal.append w Journal.Step (String.concat "\n" (List.rev_map Trace.event_to_json events));
+      t.jsteps <- t.jsteps + 1;
+      if Option.is_some t.finished || t.jsteps >= t.journal_every then fold_journal t
 
 let step t =
   let r = step_once t in
@@ -587,242 +476,101 @@ let cancel t =
       r
 
 let create ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?(trace = Trace.null)
-    ?(budget = default_budget) ?(check_time_every = 8) ?policy ?(certify = false) ?journal
+    ?(budget = default_budget) ?policy ?(certify = false) ?journal
     ?(journal_every = default_journal_every) ?initial_tree ~net ~prop () =
   let tree = match initial_tree with None -> Tree.create () | Some t -> Tree.copy t in
+  let stats =
+    { Trace.root_stats with tree_size = Tree.size tree; tree_leaves = Tree.num_leaves tree }
+  in
   let t =
-    make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-      ~journal:None ~journal_every ~tree ~net ~prop ~started:(Clock.monotonic ()) ~steps:0
-      ~calls:0 ~branchings:0 ~analyzer_seconds:0.0 ~max_frontier:0 ~max_depth:0
-      ~heuristic_failures:0 ~retries:0 ~fallback_bounds:0 ~faults_absorbed:0 ~lp_warm_hits:0
-      ~lp_warm_misses:0 ~lp_cold_solves:0 ~lp_pivots:0 ~certs_emitted:0 ~certs_unavailable:0 ()
+    make ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify ~net ~prop ~tree ~stats
+      ~steps:0 ~elapsed:0.0
   in
   List.iter (fun n -> Frontier.push t.frontier ~priority:(Tree.lb n) n) (Tree.leaves tree);
   attach_journal t ~fresh_run:true journal journal_every;
   t
 
 (* ------------------------------------------------------------------ *)
-(* Restore *)
+(* Journal resume: rebuild the state from the newest Checkpoint frame,
+   then apply the events of the Step frames after it. *)
 
-let restore_exn ~analyzer ~heuristic ?(trace = Trace.null) ?policy ?(certify = false) ?budget
-    ~net ~prop data =
-  let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.restore: " ^ s)) fmt in
-  let marker = "\ntree:\n" in
-  let mpos =
-    let n = String.length data and m = String.length marker in
-    let rec go i =
-      if i + m > n then fail "missing tree section"
-      else if String.sub data i m = marker then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let header = String.sub data 0 mpos in
-  let tree_text =
-    let start = mpos + String.length marker in
-    String.sub data start (String.length data - start)
-  in
-  let field prefix line =
-    let pl = String.length prefix in
-    if String.length line >= pl && String.sub line 0 pl = prefix then
-      String.trim (String.sub line pl (String.length line - pl))
-    else fail "expected %S, got %S" prefix line
-  in
-  let int_field prefix line =
-    let v = field prefix line in
-    match int_of_string_opt v with
-    | Some n -> n
-    | None -> fail "field %S is not an integer: %S" prefix v
-  in
-  let float_field prefix line =
-    let v = field prefix line in
-    match float_of_string_opt v with
-    | Some x -> x
-    | None -> fail "field %S is not a number: %S" prefix v
-  in
-  let lines = String.split_on_char '\n' header in
-  (* Version 1 checkpoints predate the warm-start counters; splice in
-     zero-valued lines so both versions parse through one path. *)
-  let lines =
-    match lines with
-    | "ivan-checkpoint 1" :: rest ->
-        let rec widen = function
-          | [] -> fail "truncated version-1 header"
-          | l :: rest when String.length l >= 8 && String.sub l 0 8 = "elapsed:" ->
-              "lp_warm_hits: 0" :: "lp_warm_misses: 0" :: "lp_cold_solves: 0" :: "lp_pivots: 0"
-              :: l :: rest
-          | l :: rest -> l :: widen rest
-        in
-        "ivan-checkpoint 2" :: widen rest
-    | _ -> lines
-  in
-  (* Likewise version 2 predates the certificate counters. *)
-  let lines =
-    match lines with
-    | "ivan-checkpoint 2" :: rest ->
-        let rec widen = function
-          | [] -> fail "truncated version-2 header"
-          | l :: rest when String.length l >= 8 && String.sub l 0 8 = "elapsed:" ->
-              "certs_emitted: 0" :: "certs_unavailable: 0" :: l :: rest
-          | l :: rest -> l :: widen rest
-        in
-        "ivan-checkpoint 3" :: widen rest
-    | _ -> lines
-  in
-  match lines with
-  | [
-   version;
-   strategy_l;
-   max_calls_l;
-   max_seconds_l;
-   check_every_l;
-   steps_l;
-   calls_l;
-   branchings_l;
-   analyzer_seconds_l;
-   max_frontier_l;
-   max_depth_l;
-   heuristic_failures_l;
-   retries_l;
-   fallback_bounds_l;
-   faults_absorbed_l;
-   lp_warm_hits_l;
-   lp_warm_misses_l;
-   lp_cold_solves_l;
-   lp_pivots_l;
-   certs_emitted_l;
-   certs_unavailable_l;
-   elapsed_l;
-   finished_l;
-   frontier_l;
-  ] ->
-      if version <> "ivan-checkpoint 3" then fail "unsupported header %S" version;
+(* Parse a {!snapshot} payload into an engine; [Failure] (or a [Scanf]
+   exception) on a malformed one. *)
+let of_snapshot ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~net ~prop data =
+  match String.split_on_char '\n' data with
+  | "ivan-checkpoint" :: strategy_l :: budget_l :: steps_l :: stats_l :: verdict_l :: frontier_l
+    :: "tree" :: tree_lines ->
       let strategy =
-        let s = field "strategy:" strategy_l in
-        match Frontier.strategy_of_string s with
-        | Some st -> st
-        | None -> fail "unknown strategy %S" s
+        let s = Scanf.sscanf strategy_l "strategy %s%!" Fun.id in
+        match Frontier.strategy_of_string s with Some st -> st | None -> fail "unknown strategy %S" s
       in
-      let budget_overridden = budget <> None in
-      let budget =
-        match budget with
-        | Some b -> b
-        | None ->
+      let recorded =
+        Scanf.sscanf budget_l "budget %d %s%!" (fun max_analyzer_calls s ->
+            { max_analyzer_calls; max_seconds = float_of_string s })
+      in
+      let stats =
+        Scanf.sscanf stats_l "stats %d %d %d %d %s %s %d %d %d %d %d %d %d %d %d %d %d %d%!"
+          (fun analyzer_calls branchings tree_size tree_leaves elapsed analyzer_seconds max_frontier
+               max_depth heuristic_failures retries fallback_bounds faults_absorbed lp_warm_hits
+               lp_warm_misses lp_cold_solves lp_pivots certs_emitted certs_unavailable ->
             {
-              max_analyzer_calls = int_field "max_calls:" max_calls_l;
-              max_seconds = float_field "max_seconds:" max_seconds_l;
-            }
+              Trace.analyzer_calls;
+              branchings;
+              tree_size;
+              tree_leaves;
+              elapsed_seconds = float_of_string elapsed;
+              analyzer_seconds = float_of_string analyzer_seconds;
+              max_frontier;
+              max_depth;
+              heuristic_failures;
+              retries;
+              fallback_bounds;
+              faults_absorbed;
+              lp_warm_hits;
+              lp_warm_misses;
+              lp_cold_solves;
+              lp_pivots;
+              certs_emitted;
+              certs_unavailable;
+            })
       in
-      let elapsed = float_field "elapsed:" elapsed_l in
-      let tree = Tree.of_string tree_text in
+      let tree = Tree.of_string (String.concat "\n" tree_lines) in
       let t =
-        make ~analyzer ~heuristic ~strategy ~trace ~budget
-          ~check_time_every:(int_field "check_time_every:" check_every_l)
-          ~policy ~certify ~journal:None ~journal_every:default_journal_every ~tree ~net ~prop
-          ~started:(Clock.monotonic () -. elapsed)
-          ~steps:(int_field "steps:" steps_l)
-          ~calls:(int_field "calls:" calls_l)
-          ~branchings:(int_field "branchings:" branchings_l)
-          ~analyzer_seconds:(float_field "analyzer_seconds:" analyzer_seconds_l)
-          ~max_frontier:(int_field "max_frontier:" max_frontier_l)
-          ~max_depth:(int_field "max_depth:" max_depth_l)
-          ~heuristic_failures:(int_field "heuristic_failures:" heuristic_failures_l)
-          ~retries:(int_field "retries:" retries_l)
-          ~fallback_bounds:(int_field "fallback_bounds:" fallback_bounds_l)
-          ~faults_absorbed:(int_field "faults_absorbed:" faults_absorbed_l)
-          ~lp_warm_hits:(int_field "lp_warm_hits:" lp_warm_hits_l)
-          ~lp_warm_misses:(int_field "lp_warm_misses:" lp_warm_misses_l)
-          ~lp_cold_solves:(int_field "lp_cold_solves:" lp_cold_solves_l)
-          ~lp_pivots:(int_field "lp_pivots:" lp_pivots_l)
-          ~certs_emitted:(int_field "certs_emitted:" certs_emitted_l)
-          ~certs_unavailable:(int_field "certs_unavailable:" certs_unavailable_l)
-          ()
+        make ~analyzer ~heuristic ~strategy ~trace
+          ~budget:(Option.value budget ~default:recorded)
+          ~policy ~certify ~net ~prop ~tree
+          (* A running engine keeps its elapsed time in [started]; the
+             Verdict event adds it to the stats. *)
+          ~stats:{ stats with elapsed_seconds = 0.0 }
+          ~steps:(Scanf.sscanf steps_l "steps %d%!" Fun.id)
+          ~elapsed:stats.elapsed_seconds
       in
       let nodes = Hashtbl.create 64 in
       Tree.iter_nodes tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
       let rec push_frontier = function
         | [] -> ()
-        | [ tok ] -> fail "dangling frontier token %S" tok
         | id :: prio :: rest ->
-            let id =
-              match int_of_string_opt id with
-              | Some i -> i
-              | None -> fail "frontier id %S is not an integer" id
-            in
-            let prio =
-              match float_of_string_opt prio with
-              | Some p -> p
-              | None -> fail "frontier priority %S is not a number" prio
-            in
-            (match Hashtbl.find_opt nodes id with
-            | Some n -> Frontier.push t.frontier ~priority:prio n
-            | None -> fail "frontier references unknown node %d" id);
+            (match Hashtbl.find_opt nodes (int_of_string id) with
+            | Some n -> Frontier.push t.frontier ~priority:(float_of_string prio) n
+            | None -> fail "frontier references unknown node %s" id);
             push_frontier rest
+        | [ tok ] -> fail "dangling frontier token %S" tok
       in
-      push_frontier
-        (List.filter
-           (fun s -> s <> "")
-           (String.split_on_char ' ' (field "frontier:" frontier_l)));
-      (* Terminal runs rebuilt from a checkpoint re-derive their
-         artifact through [artifact_of]: a [Disproved] artifact needs
-         only the recorded counterexample, while a restored [Proved] one
-         has an empty certificate table (leaf certificates are not
-         checkpointed) and [Cert.check_artifact] will truthfully report
-         every leaf as missing its certificate. *)
+      (match String.split_on_char ' ' frontier_l with
+      | "frontier" :: toks -> push_frontier toks
+      | _ -> fail "malformed frontier line %S" frontier_l);
       let finish_restored verdict =
-        t.finished <-
-          Some { verdict; tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
+        t.finished <- Some { verdict; tree = t.tree; stats; artifact = artifact_of t verdict }
       in
-      (match String.split_on_char ' ' (field "finished:" finished_l) with
-      | [ "running" ] -> ()
-      | [ "proved" ] -> finish_restored Proved
-      | [ "exhausted" ] ->
-          (* A budget-exhausted run is the one terminal state worth
-             continuing: with a fresh budget and live frontier nodes the
-             engine picks the search back up instead of replaying the
-             recorded Exhausted verdict. *)
-          if not (budget_overridden && Frontier.length t.frontier > 0) then
-            finish_restored Exhausted
-      | "disproved" :: toks when toks <> [] ->
-          let x =
-            Array.of_list
-              (List.map
-                 (fun tok ->
-                   match float_of_string_opt tok with
-                   | Some v -> v
-                   | None -> fail "counterexample token %S is not a number" tok)
-                 toks)
-          in
-          finish_restored (Disproved x)
-      | _ -> fail "malformed finished line %S" finished_l);
+      (match String.split_on_char ' ' verdict_l with
+      | [ "verdict"; "running" ] -> ()
+      | [ "verdict"; "proved" ] -> finish_restored Proved
+      | [ "verdict"; "exhausted" ] -> finish_restored Exhausted
+      | "verdict" :: "disproved" :: (_ :: _ as toks) ->
+          finish_restored (Disproved (Array.of_list (List.map float_of_string toks)))
+      | _ -> fail "malformed verdict line %S" verdict_l);
       t
-  | _ -> fail "malformed header"
-
-let restore ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal
-    ?(journal_every = default_journal_every) ~net ~prop data =
-  match restore_exn ~analyzer ~heuristic ?trace ?policy ?certify ?budget ~net ~prop data with
-  | t ->
-      attach_journal t ~fresh_run:false journal journal_every;
-      Ok t
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error ("Engine.restore: " ^ msg)
-
-let restore_from_file ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal
-    ?journal_every ~net ~prop path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data ->
-      restore ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal ?journal_every ~net
-        ~prop data
-  | exception Sys_error msg -> Error ("Engine.restore: cannot read checkpoint: " ^ msg)
-
-(* ------------------------------------------------------------------ *)
-(* Journal resume: restore from the newest embedded checkpoint, then
-   replay the Step frames after it. *)
+  | _ -> fail "malformed checkpoint"
 
 type resume_info = {
   replayed_steps : int;
@@ -831,109 +579,18 @@ type resume_info = {
   dropped_bytes : int;
 }
 
-(* Re-apply one journaled step's events to an engine restored from the
-   preceding checkpoint.  Replay is pure bookkeeping — no analyzer or LP
-   runs: the journal records what the original run computed, and the
-   tree and frontier evolve exactly as they did live ({!Tree.of_string}
-   restores the id counter, so replayed splits mint the same child ids).
-   Any divergence raises [Failure]: a diverging journal means the config
-   fingerprint lied, and the caller turns it into [Error]. *)
-let replay_events t ~nodes ~budget_overridden events =
-  let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume_journal: " ^ s)) fmt in
-  let find_node id =
-    match Hashtbl.find_opt nodes id with
-    | Some n -> n
-    | None -> fail "journal references unknown node %d" id
-  in
-  let last_lb = ref neg_infinity in
-  let finish_replayed verdict =
-    let elapsed = Clock.monotonic () -. t.started in
-    t.finished <-
-      Some
-        { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-  in
-  List.iter
-    (fun ev ->
-      if t.finished <> None then fail "journal has events after the terminal verdict"
-      else
-        match ev with
-        | Trace.Dequeued { node; depth = _; frontier } ->
-            let now = Frontier.length t.frontier in
-            if now <> frontier then
-              fail "frontier length diverged at node %d (journal %d, engine %d)" node frontier
-                now;
-            t.steps <- t.steps + 1;
-            t.max_frontier <- max t.max_frontier now;
-            (match Frontier.pop t.frontier with
-            | None -> fail "journal dequeues node %d from an empty frontier" node
-            | Some n ->
-                if Tree.node_id n <> node then
-                  fail "frontier order diverged (journal dequeued %d, engine popped %d)" node
-                    (Tree.node_id n);
-                t.max_depth <- max t.max_depth (List.length (Tree.path_decisions n)))
-        | Trace.Analyzed { node; status = _; lb; seconds } ->
-            t.calls <- t.calls + 1;
-            t.analyzer_seconds <- t.analyzer_seconds +. seconds;
-            Tree.set_lb (find_node node) lb;
-            last_lb := lb
-        | Trace.Lp_solved { warm_hits; warm_misses; cold_solves; pivots; node = _ } ->
-            t.lp_warm_hits <- t.lp_warm_hits + warm_hits;
-            t.lp_warm_misses <- t.lp_warm_misses + warm_misses;
-            t.lp_cold_solves <- t.lp_cold_solves + cold_solves;
-            t.lp_pivots <- t.lp_pivots + pivots
-        | Trace.Split { node; decision; left; right } ->
-            let n = find_node node in
-            let l, r = Tree.split t.tree n decision in
-            if Tree.node_id l <> left || Tree.node_id r <> right then
-              fail "replayed split of node %d minted ids %d/%d where the journal recorded %d/%d"
-                node (Tree.node_id l) (Tree.node_id r) left right;
-            Hashtbl.replace nodes left l;
-            Hashtbl.replace nodes right r;
-            t.branchings <- t.branchings + 1;
-            Frontier.push t.frontier ~priority:!last_lb l;
-            Frontier.push t.frontier ~priority:!last_lb r
-        | Trace.Pruned _ -> fail "unexpected pruner event in an engine journal"
-        | Trace.Stuck _ -> t.heuristic_failures <- t.heuristic_failures + 1
-        | Trace.Retried _ -> incr t.retries
-        | Trace.Fallback _ -> incr t.fallback_bounds
-        | Trace.Absorbed _ -> incr t.faults_absorbed
-        | Trace.Certified { kind; node = _ } ->
-            if kind = "unavailable" then t.certs_unavailable <- t.certs_unavailable + 1
-            else t.certs_emitted <- t.certs_emitted + 1
-        | Trace.Verdict { verdict; calls = _; seconds = _ } -> (
-            match verdict with
-            | "proved" -> finish_replayed Proved
-            | "exhausted" ->
-                if not (budget_overridden && Frontier.length t.frontier > 0) then
-                  finish_replayed Exhausted
-            | "disproved" ->
-                (* Unreachable: terminal disproved steps are dropped
-                   before replay (the event does not carry the
-                   counterexample vector) and redone live. *)
-                fail "disproved verdict in replay"
-            | v -> fail "unknown journaled verdict %S" v))
-    events
-
-let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo)
-    ?check_time_every ?policy ?(certify = false) ?budget ?journal
-    ?(journal_every = default_journal_every) ~net ~prop data =
+let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo) ?policy
+    ?(certify = false) ?budget ?journal ?(journal_every = default_journal_every) ~net ~prop data =
   let recovery = Journal.scan data in
-  let records = Journal.last_run recovery.Journal.records in
-  match records with
+  match Journal.last_run recovery.Journal.records with
   | [] -> Error "Engine.resume_journal: no valid journal frames"
   | first :: rest -> (
       match
-        (match first.Journal.kind with
-        | Journal.Header ->
-            let fp = fingerprint ~net ~prop in
-            if first.Journal.payload <> fp then
-              failwith
-                "Engine.resume_journal: config fingerprint mismatch — the journal was written \
-                 for a different network or property"
-        | Journal.Step | Journal.Checkpoint ->
-            failwith "Engine.resume_journal: journal has no run header");
+        if first.Journal.kind <> Journal.Header then fail "journal has no run header";
+        if first.Journal.payload <> fingerprint ~net ~prop then
+          fail "config fingerprint mismatch — the journal was written for a different network or property";
         (* Newest checkpoint wins; only the Step frames after it replay. *)
-        let ckpt, steps_rev =
+        let checkpoint, steps_rev =
           List.fold_left
             (fun (ck, steps) r ->
               match r.Journal.kind with
@@ -942,68 +599,40 @@ let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Front
               | Journal.Step -> (ck, r.Journal.payload :: steps))
             (None, []) rest
         in
-        let parse_step payload =
-          List.filter_map
-            (fun line -> if String.trim line = "" then None else Some (Trace.event_of_json line))
-            (String.split_on_char '\n' payload)
-        in
-        let steps = List.rev_map parse_step steps_rev in
-        (* A terminal disproved step is dropped, not replayed: the
-           Verdict event lacks the counterexample vector, so the node is
-           left on the frontier and redone live — still at most one node
-           of rework.  (A journal whose final Checkpoint frame landed
-           records the counterexample there instead, and the fold above
-           leaves no steps to replay.) *)
-        let steps =
-          match List.rev steps with
-          | last :: prefix
-            when List.exists
-                   (function Trace.Verdict { verdict = "disproved"; _ } -> true | _ -> false)
-                   last ->
-              List.rev prefix
-          | _ -> steps
-        in
-        let budget_overridden = budget <> None in
         let t =
-          match ckpt with
+          match checkpoint with
           | Some doc ->
-              restore_exn ~analyzer ~heuristic ~trace ?policy ~certify ?budget ~net ~prop doc
+              of_snapshot ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~net ~prop doc
           | None ->
-              (* Killed before the first checkpoint frame landed: start
-                 fresh (nothing had happened yet). *)
-              create ~analyzer ~heuristic ~strategy ~trace ?budget ?check_time_every ?policy
-                ~certify ~net ~prop ()
+              (* Killed before the first Checkpoint frame landed: nothing
+                 had happened yet, start fresh. *)
+              create ~analyzer ~heuristic ~strategy ~trace ?budget ?policy ~certify ~net ~prop ()
         in
-        let nodes = Hashtbl.create 64 in
-        Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
-        let replayed_calls = ref 0 in
+        let calls_before = t.stats.analyzer_calls in
         List.iter
-          (fun events ->
-            replay_events t ~nodes ~budget_overridden events;
-            List.iter (function Trace.Analyzed _ -> incr replayed_calls | _ -> ()) events)
-          steps;
+          (fun payload ->
+            List.iter
+              (fun line -> if String.trim line <> "" then apply t (Trace.event_of_json line))
+              (String.split_on_char '\n' payload))
+          (List.rev steps_rev);
+        (* A budget-exhausted run is the one terminal state worth
+           continuing: with a fresh budget and live frontier nodes the
+           engine picks the search back up. *)
+        (match t.finished with
+        | Some { verdict = Exhausted; _ } when budget <> None && not (Frontier.is_empty t.frontier)
+          ->
+            t.finished <- None
+        | _ -> ());
         attach_journal t ~fresh_run:false journal journal_every;
         ( t,
           {
-            replayed_steps = List.length steps;
-            replayed_calls = !replayed_calls;
+            replayed_steps = List.length steps_rev;
+            replayed_calls = t.stats.analyzer_calls - calls_before;
             valid_bytes = recovery.Journal.valid_bytes;
             dropped_bytes = recovery.Journal.dropped_bytes;
           } )
       with
       | result -> Ok result
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error ("Engine.resume_journal: " ^ msg))
-
-let resume_journal_file ~analyzer ~heuristic ?trace ?strategy ?check_time_every ?policy ?certify
-    ?budget ?journal ?journal_every ~net ~prop path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data ->
-      resume_journal ~analyzer ~heuristic ?trace ?strategy ?check_time_every ?policy ?certify
-        ?budget ?journal ?journal_every ~net ~prop data
-  | exception Sys_error msg -> Error ("Engine.resume_journal: cannot read journal: " ^ msg)
+      | exception (Failure msg | Scanf.Scan_failure msg) -> Error ("Engine.resume_journal: " ^ msg)
+      | exception Invalid_argument msg -> Error ("Engine.resume_journal: " ^ msg)
+      | exception End_of_file -> Error "Engine.resume_journal: truncated checkpoint")

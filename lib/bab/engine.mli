@@ -2,18 +2,25 @@
     explicit-state stepper.
 
     {!create} builds the engine state — the specification tree, the
-    frontier of unbounded leaves, counters — and {!step} processes
-    exactly one frontier node: dequeue, bound with the analyzer, then
-    verify / report a counterexample / branch.  Callers can drive the
-    loop themselves (interleaving verification with other work,
-    checkpointing, or cancelling via {!cancel}); {!run} steps to
-    completion.  [Bab.verify] is a thin wrapper over [create] + [run]
-    and keeps the historical interface.
+    frontier of unbounded leaves, the {!stats} counters — and {!step}
+    processes exactly one frontier node: dequeue, bound with the
+    analyzer, then verify / report a counterexample / branch.  Callers
+    can drive the loop themselves (interleaving verification with other
+    work, or cancelling via {!cancel}); {!run} steps to completion.
+    [Bab.verify] is a thin wrapper over [create] + [run] and keeps the
+    historical interface.
+
+    The engine is event-sourced: a step computes and emits
+    {!Trace.event}s, and one state transition applies each event to the
+    tree, the frontier, the counters and the terminal verdict.  The
+    same transition replays journaled events on {!resume_journal}, and
+    its counter part is {!Trace.count} — so a run's trace, its journal
+    and its [stats] cannot disagree.
 
     The node-selection order is a pluggable {!Frontier.strategy}; every
     step can be observed through a {!Trace.sink}.  The wall-clock budget
-    is enforced centrally — one clock read every [check_time_every]
-    steps rather than per node. *)
+    is enforced centrally — one clock read every 8 steps rather than per
+    node. *)
 
 type budget = {
   max_analyzer_calls : int;
@@ -27,45 +34,8 @@ val default_journal_every : int
 (** Steps between journal Checkpoint frames (32) — the default bound on
     how many Step frames a resume must replay. *)
 
-type stats = {
-  analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
-  branchings : int;  (** node branchings *)
-  tree_size : int;  (** [|Nodes(T_f)|] *)
-  tree_leaves : int;
-  elapsed_seconds : float;
-  analyzer_seconds : float;
-      (** wall-clock spent inside analyzer calls, via the
-          {!Ivan_analyzer.Analyzer.instrument} hook *)
-  max_frontier : int;  (** largest frontier observed at a dequeue *)
-  max_depth : int;  (** deepest node dequeued *)
-  heuristic_failures : int;
-      (** unsolved nodes the heuristic could not branch (numerical
-          failure, reported distinctly from budget exhaustion) *)
-  retries : int;  (** analyzer re-attempts made by the resilience layer *)
-  fallback_bounds : int;
-      (** nodes whose accepted bound came from a degraded (non-primary)
-          analyzer in the fallback chain *)
-  faults_absorbed : int;
-      (** analyzer failures (exceptions or untrustworthy outcomes)
-          swallowed instead of crashing the run *)
-  lp_warm_hits : int;
-      (** node LP solves that warm-started from the parent's simplex
-          basis ({!Ivan_lp.Lp.solve_from} succeeded) *)
-  lp_warm_misses : int;
-      (** warm-start attempts that fell back to an internal cold solve *)
-  lp_cold_solves : int;
-      (** node LP solves that never attempted a warm start (root node,
-          restored checkpoints, non-reusable encodings, [--no-lp-warm]) *)
-  lp_pivots : int;  (** total simplex pivots across all node LP solves *)
-  certs_emitted : int;
-      (** verified leaves whose certificate passed the emission-time
-          exact self-check and joined the proof artifact (0 unless the
-          engine was created with [certify]) *)
-  certs_unavailable : int;
-      (** verified leaves with no checkable certificate — the analyzer
-          produced none (non-LP verdict, fallback bound) or the exact
-          self-check rejected the solver's multipliers *)
-}
+type stats = Trace.stats
+(** The run's counters, maintained by folding its events ({!Trace.count}). *)
 
 type verdict =
   | Proved
@@ -92,7 +62,6 @@ val create :
   ?strategy:Frontier.strategy ->
   ?trace:Trace.sink ->
   ?budget:budget ->
-  ?check_time_every:int ->
   ?policy:Ivan_analyzer.Analyzer.policy ->
   ?certify:bool ->
   ?journal:Ivan_resilience.Journal.writer ->
@@ -103,11 +72,10 @@ val create :
   unit ->
   t
 (** [strategy] defaults to [Fifo] (the exact breadth-first order of the
-    original implementation); [trace] to {!Trace.null};
-    [check_time_every] (default 8) is how many steps separate wall-clock
-    budget checks — the check always fires on the first step, so a zero
-    time budget exhausts before any analyzer call.  [initial_tree]
-    (default: a single root node) is copied, never mutated.
+    original implementation); [trace] to {!Trace.null}.  The wall-clock
+    budget check always fires on the first step, so a zero time budget
+    exhausts before any analyzer call.  [initial_tree] (default: a
+    single root node) is copied, never mutated.
 
     [policy], when supplied, hardens the analyzer with
     {!Ivan_analyzer.Analyzer.with_fallback}: failures are retried, then
@@ -124,8 +92,9 @@ val create :
     trace events as JSONL — atomic, so a kill never journals half a
     step), and every [journal_every] (default
     {!default_journal_every}) steps — plus the terminal step — a
-    Checkpoint frame folds the whole prefix.  A killed run resumes from
-    its journal via {!resume_journal} with at most one node of rework.
+    Checkpoint frame folds the whole prefix into a snapshot of the
+    state.  A killed run resumes from its journal via {!resume_journal}
+    with at most one node of rework.
     Events produced while a journal is attached still reach [trace]
     unchanged.
 
@@ -140,7 +109,7 @@ val create :
     ["unavailable"] — the engine never emits a certificate the
     independent checker would reject.
     @raise Invalid_argument if the property's box dimension does not
-    match the network input, or if [check_time_every <= 0]. *)
+    match the network input, or if [journal_every <= 0]. *)
 
 type status = Running | Finished of run
 
@@ -165,99 +134,28 @@ val frontier_length : t -> int
 
 val finished : t -> run option
 
-(** {2 Checkpoint / resume}
-
-    An engine's complete resumable state — counters, budget, strategy,
-    terminal state, frontier order, and the specification tree — as a
-    self-delimiting text document.  The analyzer, heuristic, network,
-    property, trace sink and resilience policy are code rather than
-    state and are supplied again at {!restore} time; the restored engine
-    continues exactly where the checkpoint was taken (the elapsed-time
-    clock resumes from the recorded value).
-
-    Parked warm-start bases are deliberately {e not} serialized — they
-    are a performance cache, not verification state — so the first LP
-    solve of each restored frontier node runs cold and the search
-    proceeds identically otherwise.  Version-1 checkpoints (written
-    before the warm-start counters existed) restore with those counters
-    zeroed. *)
-
-val checkpoint : t -> string
-(** Serialize the engine's current state.  Safe at any point, including
-    after completion (restoring a terminal checkpoint yields an engine
-    whose {!finished} run is already set). *)
-
-val checkpoint_to_file : t -> string -> unit
-(** {!checkpoint} written atomically: the document goes to a [.tmp]
-    sibling first and is renamed over the target, so a crash mid-write
-    never leaves a truncated checkpoint behind. *)
-
-val restore :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t, string) result
-(** Rebuild an engine from a {!checkpoint} document.  [budget] overrides
-    the recorded budget (e.g. to grant a resumed run more time); all
-    other recorded state — strategy, counters, frontier, tree — is taken
-    from the checkpoint.  Terminal checkpoints stay terminal, with one
-    exception: an [Exhausted] checkpoint restored with an overriding
-    [budget] and a non-empty frontier resumes the search, so a run that
-    ran out of budget can be granted more and continued.
-
-    A truncated, corrupt or otherwise malformed document — and a
-    [net]/[prop] pair that does not match it — yields [Error] with a
-    diagnostic message; no parse exception escapes.
-
-    [journal], when supplied, attaches write-ahead journaling to the
-    restored engine (see {!create}); a Header frame is written only if
-    the sink is empty, so restoring into an existing journal continues
-    its current run.
-
-    [certify] (default false) re-enables certificate collection on the
-    restored engine, but note that leaf certificates are {e not} part of
-    a checkpoint (only the two counters are): leaves verified before the
-    checkpoint have no certificate in the restored run, so a resumed
-    [Proved] artifact will fail {!Ivan_cert.Cert.check_artifact} with
-    those leaves reported missing — certification honestly requires an
-    uninterrupted run.  Version-1 and version-2 checkpoints (predating
-    the warm-start and certificate counters respectively) restore with
-    the missing counters zeroed. *)
-
-val restore_from_file :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t, string) result
-(** {!restore} reading the document from a file path; [Error] also when
-    the file cannot be read. *)
-
 (** {2 Journal resume}
 
+    The journal is the one persistence format: a checkpoint is a
+    compacted journal (a Header frame plus one Checkpoint frame, see
+    {!compacted_journal}), read by the same {!resume_journal}.
+
     Recovery after a kill: {!Ivan_resilience.Journal.scan} truncates the
-    journal to its valid frame prefix, the engine restores from the
-    newest embedded Checkpoint frame, and the Step frames recorded after
-    it replay as pure bookkeeping — no analyzer or LP calls; the tree,
-    frontier and counters evolve exactly as the original run's trace
-    says they did.  Work is lost only for the step that was in flight
-    when the process died (its Step frame never landed), so rework is
-    bounded by one node. *)
+    journal to its valid frame prefix, the engine state is rebuilt from
+    the newest Checkpoint frame, and the events of the Step frames
+    recorded after it are applied through the same state transition a
+    live step uses — no analyzer or LP calls; the tree, frontier and
+    counters evolve exactly as the original run's trace says they did.
+    Work is lost only for the step that was in flight when the process
+    died (its Step frame never landed), so rework is bounded by one
+    node.
+
+    Parked warm-start bases and leaf certificates are not journaled:
+    the first LP solve of each resumed frontier node runs cold, and
+    leaves verified before a resume carry no certificate, so a resumed
+    [Proved] artifact fails {!Ivan_cert.Cert.check_artifact} with those
+    leaves reported missing — certification honestly requires an
+    uninterrupted run. *)
 
 type resume_info = {
   replayed_steps : int;  (** Step frames replayed onto the checkpoint *)
@@ -271,7 +169,6 @@ val resume_journal :
   heuristic:Heuristic.t ->
   ?trace:Trace.sink ->
   ?strategy:Frontier.strategy ->
-  ?check_time_every:int ->
   ?policy:Ivan_analyzer.Analyzer.policy ->
   ?certify:bool ->
   ?budget:budget ->
@@ -284,40 +181,37 @@ val resume_journal :
 (** Rebuild an engine from raw journal bytes (the newest run in the
     journal, per {!Ivan_resilience.Journal.last_run}).  The journal's
     Header fingerprint must match [net]/[prop] — resuming against the
-    wrong problem is an [Error], as is any replay divergence, so a stale
-    journal can never silently corrupt a verdict.  [strategy] and
-    [check_time_every] only apply when the journal died before its first
-    Checkpoint frame landed (the run is started fresh); otherwise the
-    checkpoint's recorded values win.  [budget] overrides as in
-    {!restore}.
+    wrong problem is an [Error], as is a malformed checkpoint or any
+    replay divergence, so a stale journal can never silently corrupt a
+    verdict; no parse exception escapes.  [strategy] only applies when
+    the journal died before its first Checkpoint frame landed (the run
+    is started fresh); otherwise the recorded strategy wins.
 
-    A terminal [Disproved] step whose Checkpoint frame never landed is
-    redone live rather than replayed (the journaled verdict event does
-    not carry the counterexample vector) — the one case where resume
-    re-runs the analyzer, still within the one-node rework bound.
+    [budget] overrides the recorded budget.  Terminal runs stay
+    terminal, with one exception: an [Exhausted] run resumed with an
+    overriding [budget] and a non-empty frontier continues the search,
+    so a run that ran out of budget can be granted more.  A run that
+    stopped on a node the heuristic could not split keeps that node on
+    its frontier, so continuing it never proves the property without
+    it.
 
     [journal], when supplied, continues journaling: into the same file
     (the journal is rewritten compacted — Header, then a Checkpoint of
-    the resumed state) or a fresh one. *)
+    the resumed state; read the old bytes before
+    {!Ivan_resilience.Journal.open_file} truncates them) or a fresh
+    one. *)
 
-val resume_journal_file :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?strategy:Frontier.strategy ->
-  ?check_time_every:int ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t * resume_info, string) result
-(** {!resume_journal} reading the journal from a file path.  Read the
-    old journal fully before opening the same path as the new [journal]
-    sink — {!Ivan_resilience.Journal.open_file} truncates. *)
+val compacted_journal : t -> string
+(** The engine's state as journal bytes: a Header frame and one
+    Checkpoint frame.  {!resume_journal} of these bytes continues
+    exactly where the engine stands (parked bases and leaf certificates
+    aside, see above) — the elapsed-time clock resumes from the recorded
+    value. *)
+
+val fold_journal : t -> unit
+(** Append a Checkpoint frame folding the current state to the
+    engine's journal, so a resume replays no Step frames (no-op without
+    a journal). *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest

@@ -115,6 +115,12 @@ let pop t =
   (match popped with Some _ -> t.count <- t.count - 1 | None -> ());
   popped
 
+let peek t =
+  match t.repr with
+  | Queue q -> Option.map snd (Queue.peek_opt q)
+  | Stack s -> ( match !s with [] -> None | (_, x) :: _ -> Some x)
+  | Heap h -> if h.len = 0 then None else let _, _, x = h.arr.(0) in Some x
+
 let elements t =
   match t.repr with
   | Queue q -> List.rev (Queue.fold (fun acc e -> e :: acc) [] q)

@@ -35,6 +35,9 @@ val push : 'a t -> priority:float -> 'a -> unit
 
 val pop : 'a t -> 'a option
 
+val peek : 'a t -> 'a option
+(** The item {!pop} would return next, left in place. *)
+
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int

@@ -13,7 +13,12 @@ type event =
   | Fallback of { node : int; analyzer : string; reason : string }
   | Absorbed of { node : int; analyzer : string; reason : string }
   | Certified of { node : int; kind : string }
-  | Verdict of { verdict : string; calls : int; seconds : float }
+  | Verdict of {
+      verdict : string;
+      calls : int;
+      seconds : float;
+      counterexample : Ivan_tensor.Vec.t option;
+    }
 
 (* ---------------- sinks ---------------- *)
 
@@ -83,9 +88,14 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"absorbed","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
   | Certified { node; kind } ->
       Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S}|} node kind
-  | Verdict { verdict; calls; seconds } ->
-      Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s}|} verdict calls
+  | Verdict { verdict; calls; seconds; counterexample } ->
+      Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s%s}|} verdict calls
         (float_token seconds)
+        (match counterexample with
+        | None -> ""
+        | Some x ->
+            Printf.sprintf {|,"counterexample":"%s"|}
+              (String.concat " " (List.map (Printf.sprintf "%.17g") (Array.to_list x))))
 
 (* Minimal parser for the flat one-line objects emitted above: string
    keys mapping to either quoted strings or bare number tokens. *)
@@ -196,7 +206,15 @@ let event_of_json line =
   | "fallback" -> Fallback { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
   | "absorbed" -> Absorbed { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
   | "certified" -> Certified { node = int "node"; kind = str "kind" }
-  | "verdict" -> Verdict { verdict = str "verdict"; calls = int "calls"; seconds = float "seconds" }
+  | "verdict" ->
+      let counterexample =
+        match List.assoc_opt "counterexample" fields with
+        | None -> None
+        | Some _ ->
+            let tokens = String.split_on_char ' ' (str "counterexample") in
+            Some (Array.of_list (List.map float_of_string tokens))
+      in
+      Verdict { verdict = str "verdict"; calls = int "calls"; seconds = float "seconds"; counterexample }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
 
 let rec emit sink ev =
@@ -233,97 +251,80 @@ let read_jsonl path =
 
 (* ---------------- aggregation ---------------- *)
 
-type aggregate = {
-  events : int;
+type stats = {
   analyzer_calls : int;
-  analyzer_seconds : float;
   branchings : int;
-  pruned : int;
-  stuck : int;
-  retries : int;
-  fallbacks : int;
-  absorbed : int;
+  tree_size : int;
+  tree_leaves : int;
+  elapsed_seconds : float;
+  analyzer_seconds : float;
   max_frontier : int;
   max_depth : int;
+  heuristic_failures : int;
+  retries : int;
+  fallback_bounds : int;
+  faults_absorbed : int;
   lp_warm_hits : int;
   lp_warm_misses : int;
   lp_cold_solves : int;
   lp_pivots : int;
-  certified : int;
+  certs_emitted : int;
   certs_unavailable : int;
-  verdict : string option;
 }
 
-let empty_aggregate =
+let root_stats =
   {
-    events = 0;
     analyzer_calls = 0;
-    analyzer_seconds = 0.0;
     branchings = 0;
-    pruned = 0;
-    stuck = 0;
-    retries = 0;
-    fallbacks = 0;
-    absorbed = 0;
+    tree_size = 1;
+    tree_leaves = 1;
+    elapsed_seconds = 0.0;
+    analyzer_seconds = 0.0;
     max_frontier = 0;
     max_depth = 0;
+    heuristic_failures = 0;
+    retries = 0;
+    fallback_bounds = 0;
+    faults_absorbed = 0;
     lp_warm_hits = 0;
     lp_warm_misses = 0;
     lp_cold_solves = 0;
     lp_pivots = 0;
-    certified = 0;
+    certs_emitted = 0;
     certs_unavailable = 0;
-    verdict = None;
   }
 
-let aggregate events =
-  List.fold_left
-    (fun acc ev ->
-      let acc = { acc with events = acc.events + 1 } in
-      match ev with
-      | Dequeued { depth; frontier; _ } ->
-          {
-            acc with
-            max_frontier = max acc.max_frontier frontier;
-            max_depth = max acc.max_depth depth;
-          }
-      | Analyzed { seconds; _ } ->
-          {
-            acc with
-            analyzer_calls = acc.analyzer_calls + 1;
-            analyzer_seconds = acc.analyzer_seconds +. seconds;
-          }
-      | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; _ } ->
-          {
-            acc with
-            lp_warm_hits = acc.lp_warm_hits + warm_hits;
-            lp_warm_misses = acc.lp_warm_misses + warm_misses;
-            lp_cold_solves = acc.lp_cold_solves + cold_solves;
-            lp_pivots = acc.lp_pivots + pivots;
-          }
-      | Split _ -> { acc with branchings = acc.branchings + 1 }
-      | Pruned _ -> { acc with pruned = acc.pruned + 1 }
-      | Stuck _ -> { acc with stuck = acc.stuck + 1 }
-      | Retried _ -> { acc with retries = acc.retries + 1 }
-      | Fallback _ -> { acc with fallbacks = acc.fallbacks + 1 }
-      | Absorbed _ -> { acc with absorbed = acc.absorbed + 1 }
-      | Certified { kind; _ } ->
-          if kind = "unavailable" then { acc with certs_unavailable = acc.certs_unavailable + 1 }
-          else { acc with certified = acc.certified + 1 }
-      | Verdict { verdict; _ } -> { acc with verdict = Some verdict })
-    empty_aggregate events
+let count s = function
+  | Dequeued { depth; frontier; _ } ->
+      { s with max_frontier = max s.max_frontier frontier; max_depth = max s.max_depth depth }
+  | Analyzed { seconds; _ } ->
+      {
+        s with
+        analyzer_calls = s.analyzer_calls + 1;
+        analyzer_seconds = s.analyzer_seconds +. seconds;
+      }
+  | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; _ } ->
+      {
+        s with
+        lp_warm_hits = s.lp_warm_hits + warm_hits;
+        lp_warm_misses = s.lp_warm_misses + warm_misses;
+        lp_cold_solves = s.lp_cold_solves + cold_solves;
+        lp_pivots = s.lp_pivots + pivots;
+      }
+  | Split _ ->
+      {
+        s with
+        branchings = s.branchings + 1;
+        tree_size = s.tree_size + 2;
+        tree_leaves = s.tree_leaves + 1;
+      }
+  | Pruned _ -> s
+  | Stuck _ -> { s with heuristic_failures = s.heuristic_failures + 1 }
+  | Retried _ -> { s with retries = s.retries + 1 }
+  | Fallback _ -> { s with fallback_bounds = s.fallback_bounds + 1 }
+  | Absorbed _ -> { s with faults_absorbed = s.faults_absorbed + 1 }
+  | Certified { kind = "unavailable"; _ } -> { s with certs_unavailable = s.certs_unavailable + 1 }
+  | Certified _ -> { s with certs_emitted = s.certs_emitted + 1 }
+  | Verdict { seconds; _ } -> { s with elapsed_seconds = s.elapsed_seconds +. seconds }
 
-let pp_aggregate fmt a =
-  Format.fprintf fmt "%d calls (%.3fs in analyzer), %d splits, frontier peak %d, depth %d"
-    a.analyzer_calls a.analyzer_seconds a.branchings a.max_frontier a.max_depth;
-  if a.pruned > 0 then Format.fprintf fmt ", %d pruned" a.pruned;
-  if a.stuck > 0 then Format.fprintf fmt ", %d heuristic failures" a.stuck;
-  if a.retries > 0 then Format.fprintf fmt ", %d retries" a.retries;
-  if a.fallbacks > 0 then Format.fprintf fmt ", %d fallback bounds" a.fallbacks;
-  if a.absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.absorbed;
-  if a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves > 0 then
-    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots)" a.lp_warm_hits a.lp_warm_misses
-      a.lp_cold_solves a.lp_pivots;
-  if a.certified > 0 || a.certs_unavailable > 0 then
-    Format.fprintf fmt ", %d certified / %d uncertified" a.certified a.certs_unavailable;
-  match a.verdict with None -> () | Some v -> Format.fprintf fmt ", verdict %s" v
+let aggregate events = List.fold_left count root_stats events

@@ -5,9 +5,10 @@
     away ([null]), kept in a bounded in-memory buffer ([ring]), written
     as JSON Lines ([channel] / {!with_jsonl_file}), or handed to a
     callback ([hook]).  A recorded JSONL trace {!read_jsonl}s back into
-    the same events, and {!aggregate} replays any event list into the
-    run's summary statistics — so a trace file is a complete,
-    machine-readable account of where the verifier spent its effort. *)
+    the same events, and {!aggregate} folds any event list into the
+    run's {!stats} — the very fold the engine applies to its own events
+    — so a trace file is a complete, machine-readable account of where
+    the verifier spent its effort. *)
 
 type event =
   | Dequeued of { node : int; depth : int; frontier : int }
@@ -37,8 +38,14 @@ type event =
           or ["farkas"] when a checkable certificate was emitted, and
           ["unavailable"] when the leaf's verdict carried none (or the
           emission-time exact self-check rejected it) *)
-  | Verdict of { verdict : string; calls : int; seconds : float }
-      (** terminal event: [proved], [disproved] or [exhausted] *)
+  | Verdict of {
+      verdict : string;
+      calls : int;
+      seconds : float;
+      counterexample : Ivan_tensor.Vec.t option;
+    }
+      (** terminal event: [proved], [disproved] (with its
+          [counterexample]) or [exhausted] *)
 
 type sink
 
@@ -76,31 +83,57 @@ val event_of_json : string -> event
 val read_jsonl : string -> event list
 (** Parse a file of {!event_to_json} lines (blank lines are skipped). *)
 
-type aggregate = {
-  events : int;
-  analyzer_calls : int;  (** [Analyzed] events *)
-  analyzer_seconds : float;  (** summed analyzer time *)
-  branchings : int;  (** [Split] events *)
-  pruned : int;
-  stuck : int;
-  retries : int;  (** [Retried] events *)
-  fallbacks : int;  (** [Fallback] events *)
-  absorbed : int;  (** [Absorbed] events *)
+type stats = {
+  analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
+  branchings : int;  (** node branchings *)
+  tree_size : int;  (** [|Nodes(T_f)|] *)
+  tree_leaves : int;
+  elapsed_seconds : float;
+  analyzer_seconds : float;  (** wall-clock spent inside analyzer calls *)
   max_frontier : int;  (** largest frontier observed at a dequeue *)
   max_depth : int;  (** deepest node dequeued *)
-  lp_warm_hits : int;  (** summed from [Lp_solved] events *)
+  heuristic_failures : int;
+      (** unsolved nodes the heuristic could not branch (numerical
+          failure, reported distinctly from budget exhaustion) *)
+  retries : int;  (** analyzer re-attempts made by the resilience layer *)
+  fallback_bounds : int;
+      (** nodes whose accepted bound came from a degraded (non-primary)
+          analyzer in the fallback chain *)
+  faults_absorbed : int;
+      (** analyzer failures (exceptions or untrustworthy outcomes)
+          swallowed instead of crashing the run *)
+  lp_warm_hits : int;
+      (** node LP solves that warm-started from the parent's simplex
+          basis ({!Ivan_lp.Lp.solve_from} succeeded) *)
   lp_warm_misses : int;
+      (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
-  lp_pivots : int;
-  certified : int;  (** [Certified] events with an emitted certificate *)
-  certs_unavailable : int;  (** [Certified] events with kind ["unavailable"] *)
-  verdict : string option;  (** from the terminal [Verdict] event *)
+      (** node LP solves that never attempted a warm start (root node,
+          resumed runs, non-reusable encodings, [--no-lp-warm]) *)
+  lp_pivots : int;  (** total simplex pivots across all node LP solves *)
+  certs_emitted : int;
+      (** verified leaves whose certificate passed the emission-time
+          exact self-check (0 unless the run collects certificates) *)
+  certs_unavailable : int;
+      (** verified leaves with no checkable certificate — the analyzer
+          produced none (non-LP verdict, fallback bound) or the exact
+          self-check rejected the solver's multipliers *)
 }
+(** A run's summary statistics: the counter part of the engine state,
+    maintained by folding every event through {!count}. *)
 
-val aggregate : event list -> aggregate
-(** Replay an event list into summary statistics.  On a full engine
-    trace this reproduces the run's {!Engine.stats} counters
-    (analyzer calls, branchings, analyzer seconds, frontier peak,
-    max depth) exactly. *)
+val root_stats : stats
+(** The statistics of a run that has not started on a single-root
+    tree: every counter 0, one node, one leaf. *)
 
-val pp_aggregate : Format.formatter -> aggregate -> unit
+val count : stats -> event -> stats
+(** One event's effect on the counters.  [Split] adds two nodes and one
+    leaf; [Verdict] adds its [seconds] to [elapsed_seconds] (so the fold
+    of a multi-run trace sums the runs' times); [Pruned] (a pruner
+    event) counts nothing. *)
+
+val aggregate : event list -> stats
+(** [List.fold_left count root_stats events].  On the full trace of an
+    engine run from a single root this reproduces the run's [stats]
+    exactly (a run seeded with a larger initial tree starts from that
+    tree's size instead). *)

@@ -1,4 +1,5 @@
 module Rng = Ivan_tensor.Rng
+module Clock = Ivan_clock.Clock
 module Network = Ivan_nn.Network
 module Quant = Ivan_nn.Quant
 module Perturb = Ivan_nn.Perturb

@@ -1,5 +1,6 @@
 module Engine = Ivan_bab.Engine
 module Frontier = Ivan_bab.Frontier
+module Trace = Ivan_bab.Trace
 module Analyzer = Ivan_analyzer.Analyzer
 module Journal = Ivan_resilience.Journal
 
@@ -93,23 +94,23 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
   | gv, rv -> err "verdict: golden %s, resumed %s" (verdict_name gv) (verdict_name rv));
   let gs = g.Engine.stats and rs = r.Engine.stats in
   let chk name a b = if a <> b then err "%s: golden %d, resumed %d" name a b in
-  chk "analyzer_calls" gs.Engine.analyzer_calls rs.Engine.analyzer_calls;
-  chk "branchings" gs.Engine.branchings rs.Engine.branchings;
-  chk "tree_size" gs.Engine.tree_size rs.Engine.tree_size;
-  chk "tree_leaves" gs.Engine.tree_leaves rs.Engine.tree_leaves;
-  chk "max_frontier" gs.Engine.max_frontier rs.Engine.max_frontier;
-  chk "max_depth" gs.Engine.max_depth rs.Engine.max_depth;
-  chk "heuristic_failures" gs.Engine.heuristic_failures rs.Engine.heuristic_failures;
-  chk "retries" gs.Engine.retries rs.Engine.retries;
-  chk "fallback_bounds" gs.Engine.fallback_bounds rs.Engine.fallback_bounds;
-  chk "faults_absorbed" gs.Engine.faults_absorbed rs.Engine.faults_absorbed;
-  chk "certs_emitted" gs.Engine.certs_emitted rs.Engine.certs_emitted;
-  chk "certs_unavailable" gs.Engine.certs_unavailable rs.Engine.certs_unavailable;
+  chk "analyzer_calls" gs.Trace.analyzer_calls rs.Trace.analyzer_calls;
+  chk "branchings" gs.Trace.branchings rs.Trace.branchings;
+  chk "tree_size" gs.Trace.tree_size rs.Trace.tree_size;
+  chk "tree_leaves" gs.Trace.tree_leaves rs.Trace.tree_leaves;
+  chk "max_frontier" gs.Trace.max_frontier rs.Trace.max_frontier;
+  chk "max_depth" gs.Trace.max_depth rs.Trace.max_depth;
+  chk "heuristic_failures" gs.Trace.heuristic_failures rs.Trace.heuristic_failures;
+  chk "retries" gs.Trace.retries rs.Trace.retries;
+  chk "fallback_bounds" gs.Trace.fallback_bounds rs.Trace.fallback_bounds;
+  chk "faults_absorbed" gs.Trace.faults_absorbed rs.Trace.faults_absorbed;
+  chk "certs_emitted" gs.Trace.certs_emitted rs.Trace.certs_emitted;
+  chk "certs_unavailable" gs.Trace.certs_unavailable rs.Trace.certs_unavailable;
   if w.compare_lp then begin
-    chk "lp_warm_hits" gs.Engine.lp_warm_hits rs.Engine.lp_warm_hits;
-    chk "lp_warm_misses" gs.Engine.lp_warm_misses rs.Engine.lp_warm_misses;
-    chk "lp_cold_solves" gs.Engine.lp_cold_solves rs.Engine.lp_cold_solves;
-    chk "lp_pivots" gs.Engine.lp_pivots rs.Engine.lp_pivots
+    chk "lp_warm_hits" gs.Trace.lp_warm_hits rs.Trace.lp_warm_hits;
+    chk "lp_warm_misses" gs.Trace.lp_warm_misses rs.Trace.lp_warm_misses;
+    chk "lp_cold_solves" gs.Trace.lp_cold_solves rs.Trace.lp_cold_solves;
+    chk "lp_pivots" gs.Trace.lp_pivots rs.Trace.lp_pivots
   end;
   (* Certificate equivalence is stats-compatible: the counters above
      must match exactly, and the artifact must agree in presence and
@@ -168,8 +169,8 @@ let trial w g bytes =
         let at_resume = Engine.calls e in
         let durable = calls_at g info.Engine.valid_bytes in
         (* Rework: calls the journal had durably recorded but the
-           resumed engine will redo.  The only admissible case is the
-           terminal disproved step, whose frame is dropped on replay. *)
+           resumed engine will redo.  Every durable Step frame replays,
+           so only the step in flight at the kill is ever redone. *)
         let rework = durable - at_resume in
         let errs = ref [] in
         if rework < 0 then

@@ -186,25 +186,25 @@ let with_lp_faults p f =
   Fun.protect ~finally:(fun () -> Lp.set_solve_hook None) f
 
 let wrap_analyzer p a =
-  let run net ~prop ~box ~splits =
+  let run ?hint net ~prop ~box ~splits =
     match decide p Analyzer_run with
-    | None -> a.Analyzer.run net ~prop ~box ~splits
+    | None -> a.Analyzer.run ?hint net ~prop ~box ~splits
     | Some Lp_iteration_blowup -> raise Lp.Iteration_limit
     | Some Lp_numerical -> raise (Lp.Numerical_failure "injected numerical failure")
     | Some (Transient msg) -> raise (Injected msg)
     | Some (Latency s) ->
         Unix.sleepf s;
-        a.Analyzer.run net ~prop ~box ~splits
+        a.Analyzer.run ?hint net ~prop ~box ~splits
     | Some Nan_bounds ->
         (* A corrupt "don't know" with a poisoned bound: the sanitation
            layer must reject it rather than record the NaN. *)
-        { Analyzer.status = Analyzer.Unknown; lb = nan; bounds = None; zono = None; cert = None }
+        { Analyzer.unknown with lb = nan }
     | Some Inf_bounds ->
         (* Corrupt only the reported bound, never the status: a
            fabricated [Verified] would let the injector itself break
            soundness.  A genuine [Verified] carrying [-inf] is exactly
            the inconsistency the sanitation layer must distrust. *)
-        let o = a.Analyzer.run net ~prop ~box ~splits in
+        let o = a.Analyzer.run ?hint net ~prop ~box ~splits in
         { o with Analyzer.lb = neg_infinity }
     | Some ((Cert_perturb_dual | Cert_drop) as kind) ->
         (* Corrupt only the certificate evidence, never verdict or
@@ -212,7 +212,7 @@ let wrap_analyzer p a =
            reject the damaged witness and count the leaf
            certificate-unavailable — a lost certificate, never a forged
            one. *)
-        let o = a.Analyzer.run net ~prop ~box ~splits in
+        let o = a.Analyzer.run ?hint net ~prop ~box ~splits in
         { o with Analyzer.cert = Option.bind o.Analyzer.cert (corrupt_evidence kind) }
   in
   { a with Analyzer.run }

@@ -1,6 +1,5 @@
 module Engine = Ivan_bab.Engine
 module Analyzer = Ivan_analyzer.Analyzer
-module Journal = Ivan_resilience.Journal
 module Clock = Ivan_clock.Clock
 
 type limits = {
@@ -31,7 +30,6 @@ let escalation_to_string = function
 
 type outcome = {
   run : Engine.run;
-  engine : Engine.t;
   escalations : escalation list;
   checks : int;
   peak_major_words : float;
@@ -65,19 +63,20 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
     match !ladder with
     | a :: rest -> (
         ladder := rest;
-        let doc = Engine.checkpoint !engine in
+        (* Re-open the engine from its compacted journal with the
+           cheaper analyzer. *)
         match
-          Engine.restore ~analyzer:a ~heuristic ?policy ?certify ?journal ?journal_every ~net
-            ~prop doc
+          Engine.resume_journal ~analyzer:a ~heuristic ?policy ?certify ?journal ?journal_every
+            ~net ~prop (Engine.compacted_journal !engine)
         with
-        | Ok e ->
+        | Ok (e, _) ->
             engine := e;
             deadline := Clock.monotonic () +. limits.grace_seconds;
             record (Degraded { analyzer = a.Analyzer.name; reason });
             true
         | Error _ ->
-            (* A checkpoint the engine just wrote failing to restore is
-               a bug, but the watchdog's job is to stay alive: fall
+            (* A journal the engine just wrote failing to resume is a
+               bug, but the watchdog's job is to stay alive: fall
                through to shedding. *)
             ladder := [];
             false)
@@ -85,9 +84,7 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
         if !shed_done then false
         else begin
           shed_done := true;
-          (match journal with
-          | Some w -> Journal.append w Journal.Checkpoint (Engine.checkpoint !engine)
-          | None -> ());
+          Engine.fold_journal !engine;
           Gc.compact ();
           deadline := Clock.monotonic () +. limits.grace_seconds;
           record (Shed { reason });
@@ -142,7 +139,6 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
   let run = loop () in
   {
     run;
-    engine = !engine;
     escalations = List.rev !escalations;
     checks = !checks;
     peak_major_words = !peak;

@@ -8,8 +8,8 @@
 
     + a memory breach first tries [Gc.compact] (the cheap fix: most of
       the engine's garbage is short-lived analyzer state);
-    + then the engine is checkpointed and restored with the next,
-      cheaper analyzer from the fallback ladder (the PR-2 degradation
+    + then the engine is re-opened from its compacted journal with the
+      next, cheaper analyzer from the fallback ladder (the PR-2 degradation
       chain), which both shrinks the working set and speeds up the
       remaining nodes — on a time breach the deadline is extended by the
       configured grace;
@@ -48,7 +48,8 @@ type escalation =
   | Compacted of { reason : string; freed_words : float }
       (** a [Gc.compact] absorbed a memory breach *)
   | Degraded of { analyzer : string; reason : string }
-      (** the run was checkpointed and restored onto a cheaper analyzer *)
+      (** the run was re-opened from its compacted journal onto a
+          cheaper analyzer *)
   | Shed of { reason : string }
       (** full state folded into the journal and the heap compacted *)
   | Cancelled of { reason : string }
@@ -58,9 +59,6 @@ val escalation_to_string : escalation -> string
 
 type outcome = {
   run : Engine.run;
-  engine : Engine.t;
-      (** the engine that finished — not the input engine if a
-          degradation rebuilt it mid-run *)
   escalations : escalation list;  (** oldest first; [[]] = clean run *)
   checks : int;  (** watchdog checks performed *)
   peak_major_words : float;  (** largest heap sample observed *)
@@ -85,6 +83,6 @@ val supervise :
     [policy], [certify], [net], [prop] and [journal] are needed to
     rebuild the engine across a degradation (they mirror what the engine
     was created with — the engine does not expose them).  When [journal]
-    is supplied, degradations journal a fresh Checkpoint frame through
-    the restore path and [Shed] folds the state explicitly, so a kill at
-    any escalation point still resumes. *)
+    (the engine's own journal) is supplied, a degraded engine journals a
+    fresh Checkpoint frame as it re-opens, and [Shed] folds the state
+    explicitly, so a kill at any escalation point still resumes. *)

@@ -25,6 +25,8 @@ let create () =
 
 let root t = t.root_node
 
+let next_id t = t.next_id
+
 let node_id n = n.id
 
 let is_leaf n = n.kids = None

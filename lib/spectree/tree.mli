@@ -22,6 +22,10 @@ val root : t -> node
 val node_id : node -> int
 (** Stable within a tree; the root has id 0. *)
 
+val next_id : t -> int
+(** The id {!split} gives its next left child (the right child gets the
+    successor). *)
+
 val is_leaf : node -> bool
 
 val decision : node -> Decision.t option

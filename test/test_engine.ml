@@ -15,6 +15,7 @@ module Frontier = Ivan_bab.Frontier
 module Trace = Ivan_bab.Trace
 module Tree = Ivan_spectree.Tree
 module Decision = Ivan_spectree.Decision
+module Fault = Ivan_resilience.Fault
 
 let lp = Analyzer.lp_triangle ()
 
@@ -246,8 +247,7 @@ let test_stuck_heuristic_accounted () =
   let stuck_analyzer =
     {
       Analyzer.name = "always-unknown";
-      run = (fun _net ~prop:_ ~box:_ ~splits:_ ->
-          { Analyzer.status = Analyzer.Unknown; lb = -1.0; bounds = None; zono = None; cert = None });
+      run = (fun ?hint:_ _net ~prop:_ ~box:_ ~splits:_ -> { Analyzer.unknown with lb = -1.0 });
     }
   in
   let no_decisions = { Heuristic.name = "none"; scores = (fun _ -> []) } in
@@ -286,7 +286,14 @@ let sample_events =
     Trace.Fallback { node = 4; analyzer = "interval"; reason = "degraded after retries" };
     Trace.Absorbed { node = 5; analyzer = "lp-triangle"; reason = "injected \"fault\"" };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
-    Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5 };
+    Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5; counterexample = None };
+    Trace.Verdict
+      {
+        verdict = "disproved";
+        calls = 3;
+        seconds = 0.25;
+        counterexample = Some (Vec.of_list [ 0.49; 1.0 /. 3.0 ]);
+      };
   ]
 
 let test_event_json_roundtrip () =
@@ -302,36 +309,82 @@ let test_event_json_roundtrip () =
       | _ -> Alcotest.(check bool) json true (e = back))
     sample_events
 
+(* Every counter of a run's stats, floats bit-exact. *)
+let stats_fields (s : Bab.stats) =
+  let i = string_of_int and f = Printf.sprintf "%h" in
+  [
+    ("analyzer_calls", i s.Bab.analyzer_calls);
+    ("branchings", i s.Bab.branchings);
+    ("tree_size", i s.Bab.tree_size);
+    ("tree_leaves", i s.Bab.tree_leaves);
+    ("analyzer_seconds", f s.Bab.analyzer_seconds);
+    ("max_frontier", i s.Bab.max_frontier);
+    ("max_depth", i s.Bab.max_depth);
+    ("heuristic_failures", i s.Bab.heuristic_failures);
+    ("retries", i s.Bab.retries);
+    ("fallback_bounds", i s.Bab.fallback_bounds);
+    ("faults_absorbed", i s.Bab.faults_absorbed);
+    ("lp_warm_hits", i s.Bab.lp_warm_hits);
+    ("lp_warm_misses", i s.Bab.lp_warm_misses);
+    ("lp_cold_solves", i s.Bab.lp_cold_solves);
+    ("lp_pivots", i s.Bab.lp_pivots);
+    ("certs_emitted", i s.Bab.certs_emitted);
+    ("certs_unavailable", i s.Bab.certs_unavailable);
+  ]
+
+(* A run's stats are the fold of its own JSONL trace — on every counter
+   but the elapsed time — across strategies, certification and injected
+   faults. *)
 let test_jsonl_file_roundtrip_and_aggregate () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let path = Filename.temp_file "ivan_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let run =
-        Trace.with_jsonl_file path (fun trace ->
-            Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~trace ~net ~prop ())
-      in
-      let events = Trace.read_jsonl path in
-      let agg = Trace.aggregate events in
-      (* The replayed trace reproduces the run's aggregate statistics. *)
-      Alcotest.(check int) "calls" run.Bab.stats.Bab.analyzer_calls agg.Trace.analyzer_calls;
-      Alcotest.(check int) "branchings" run.Bab.stats.Bab.branchings agg.Trace.branchings;
-      Alcotest.(check int) "max frontier" run.Bab.stats.Bab.max_frontier agg.Trace.max_frontier;
-      Alcotest.(check int) "max depth" run.Bab.stats.Bab.max_depth agg.Trace.max_depth;
-      Alcotest.(check (float 1e-12)) "analyzer seconds" run.Bab.stats.Bab.analyzer_seconds
-        agg.Trace.analyzer_seconds;
-      Alcotest.(check int) "no pruning in a plain run" 0 agg.Trace.pruned;
-      Alcotest.(check bool) "verdict recorded" true (agg.Trace.verdict = Some "proved");
-      (* Each line parses back to the event that produced it. *)
-      Alcotest.(check int) "event count stable" agg.Trace.events (List.length events);
-      List.iter
-        (fun e ->
-          Alcotest.(check bool) "re-encoding stable" true
-            (Trace.event_to_json (Trace.event_of_json (Trace.event_to_json e))
-            = Trace.event_to_json e))
-        events)
+  let check_trace label verify =
+    let path = Filename.temp_file "ivan_trace" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      (fun () ->
+        let run = Trace.with_jsonl_file path verify in
+        let events = Trace.read_jsonl path in
+        Alcotest.(check (list (pair string string)))
+          (label ^ ": stats are the fold of the trace")
+          (stats_fields run.Bab.stats)
+          (stats_fields (Trace.aggregate events));
+        (match List.rev events with
+        | Trace.Verdict { verdict; _ } :: _ ->
+            Alcotest.(check string) (label ^ ": verdict recorded") "proved" verdict
+        | _ -> Alcotest.failf "%s: trace does not end in a verdict" label);
+        (* Each line parses back to the event that produced it. *)
+        List.iter
+          (fun e ->
+            Alcotest.(check bool) "re-encoding stable" true
+              (Trace.event_to_json (Trace.event_of_json (Trace.event_to_json e))
+              = Trace.event_to_json e))
+          events;
+        run)
+  in
+  List.iter
+    (fun strategy ->
+      ignore
+        (check_trace (Frontier.strategy_name strategy) (fun trace ->
+             Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~strategy ~trace ~net ~prop ())))
+    Frontier.all_strategies;
+  let certified =
+    check_trace "certify" (fun trace ->
+        Bab.verify
+          ~analyzer:(Analyzer.lp_triangle ~certify:true ())
+          ~heuristic:Heuristic.zono_coeff ~certify:true ~trace ~net ~prop ())
+  in
+  Alcotest.(check bool) "certify: certificates counted" true
+    (certified.Bab.stats.Bab.certs_emitted > 0);
+  let plan = Fault.plan ~lp_rate:0.2 ~analyzer_rate:0.3 ~seed:11 () in
+  let faulted =
+    check_trace "faults" (fun trace ->
+        Fault.with_lp_faults plan (fun () ->
+            Bab.verify ~analyzer:(Fault.wrap_analyzer plan lp) ~heuristic:Heuristic.zono_coeff
+              ~policy:Analyzer.default_policy ~trace ~net ~prop ()))
+  in
+  Alcotest.(check bool) "faults: some absorbed" true
+    (faulted.Bab.stats.Bab.faults_absorbed > 0)
 
 let test_ring_capacity () =
   let ring = Trace.ring ~capacity:3 in

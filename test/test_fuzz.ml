@@ -1,7 +1,7 @@
 (* Fuzz properties: every textual parser in the trust path must reject
    arbitrary and mutated input with its documented typed error —
-   [Failure] for the parsers, [Error] for [Engine.restore] /
-   [resume_journal] — and never let [Invalid_argument], [Not_found],
+   [Failure] for the parsers, [Error] for [Engine.resume_journal] — and
+   never let [Invalid_argument], [Not_found],
    out-of-bounds or an allocation blow-up escape. *)
 
 module Journal = Ivan_resilience.Journal
@@ -98,7 +98,8 @@ let vnnlib_doc =
     ^ "(assert (>= X_1 0.0))\n(assert (<= X_1 1.0))\n"
     ^ "(assert (>= (* -1.0 Y_0) 1.7))\n")
 
-let checkpoint_doc =
+(* The Header and Checkpoint payloads of a mid-run compacted journal. *)
+let compacted_doc =
   lazy
     (let engine =
        Engine.create
@@ -108,7 +109,9 @@ let checkpoint_doc =
      for _ = 1 to 3 do
        ignore (Engine.step engine)
      done;
-     Engine.checkpoint engine)
+     match (Journal.scan (Engine.compacted_journal engine)).Journal.records with
+     | [ header; checkpoint ] -> (header.Journal.payload, checkpoint.Journal.payload)
+     | _ -> Alcotest.fail "a compacted journal is one Header and one Checkpoint frame")
 
 let artifact_doc =
   lazy
@@ -148,13 +151,17 @@ let artifact_fuzz () =
   fuzz ~name:"Cert.Artifact.of_string" ~count:150 (Lazy.force artifact_doc)
     Cert.Artifact.of_string
 
-let restore_fuzz () =
-  fuzz ~name:"Engine.restore" ~count:150 (Lazy.force checkpoint_doc) (fun doc ->
-      (* restore is total by contract: Ok or Error, no exception at all. *)
+(* The mutated Checkpoint payload is re-framed with a valid CRC, so the
+   damage reaches the payload parser rather than the framing. *)
+let checkpoint_fuzz () =
+  let header, checkpoint = Lazy.force compacted_doc in
+  fuzz ~name:"Engine checkpoint payload" ~count:150 checkpoint (fun doc ->
+      (* resume is total by contract: Ok or Error, no exception at all. *)
       match
-        Engine.restore
+        Engine.resume_journal
           ~analyzer:(Analyzer.zonotope ())
-          ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ()) doc
+          ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ())
+          (Journal.encode_frame Journal.Header header ^ Journal.encode_frame Journal.Checkpoint doc)
       with
       | Ok _ | Error _ -> ())
 
@@ -180,7 +187,7 @@ let suite =
     serialize_fuzz ();
     vnnlib_fuzz ();
     artifact_fuzz ();
-    restore_fuzz ();
+    checkpoint_fuzz ();
     resume_fuzz ();
     scan_total;
   ]

@@ -272,6 +272,61 @@ let test_resume_empty_journal () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resume from an empty journal must be Error"
 
+(* A run that stops on a node the heuristic cannot split is Exhausted
+   with that node unresolved.  The property is false — (0.49, 1) is a
+   counterexample, inside the stuck box — so resuming with more budget,
+   from a compacted journal or by replaying the journal's steps, must
+   never report Proved. *)
+let test_resume_never_proves_past_stuck_node () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.02 in
+  let heuristic =
+    {
+      Heuristic.name = "stuck-above-half";
+      scores =
+        (fun ctx ->
+          if Ivan_spec.Box.lo_at ctx.Heuristic.box 1 >= 0.5 then []
+          else [ (Ivan_spectree.Decision.Input_split 1, 1.0) ]);
+    }
+  in
+  let buf = Buffer.create 4096 in
+  let journal = Journal.to_buffer buf in
+  let engine =
+    Engine.create
+      ~analyzer:(Analyzer.zonotope ())
+      ~heuristic ~journal ~journal_every:1000 ~net ~prop ()
+  in
+  let live = Engine.run engine in
+  Journal.close journal;
+  Alcotest.(check string) "live run is stuck" "exhausted" (verdict_name live.verdict);
+  Alcotest.(check int) "one heuristic failure" 1 live.stats.heuristic_failures;
+  (* Replay: drop the terminal Checkpoint frame so every step replays. *)
+  let replayed =
+    match List.rev (Journal.scan (Buffer.contents buf)).Journal.records with
+    | { Journal.kind = Journal.Checkpoint; _ } :: rest ->
+        String.concat ""
+          (List.rev_map (fun (r : Journal.record) -> Journal.encode_frame r.kind r.payload) rest)
+    | _ -> Alcotest.fail "terminal frame must be a Checkpoint"
+  in
+  List.iter
+    (fun (label, bytes) ->
+      match
+        Engine.resume_journal
+          ~analyzer:(Analyzer.zonotope ())
+          ~heuristic ~net ~prop
+          ~budget:{ Engine.max_analyzer_calls = 100_000; max_seconds = infinity }
+          bytes
+      with
+      | Error msg -> Alcotest.failf "%s: resume failed: %s" label msg
+      | Ok (e, _) -> (
+          match (Engine.run e).verdict with
+          | Engine.Proved -> Alcotest.failf "%s: resumed run proved a false property" label
+          | Engine.Disproved x ->
+              Alcotest.(check bool) (label ^ ": genuine counterexample") true
+                (Analyzer.check_concrete net ~prop x)
+          | Engine.Exhausted -> ()))
+    [ ("compacted journal", Engine.compacted_journal engine); ("journal replay", replayed) ]
+
 (* --- supervisor ----------------------------------------------------- *)
 
 let test_supervise_clean_run () =
@@ -374,6 +429,8 @@ let suite =
       test_resume_wrong_fingerprint;
     Alcotest.test_case "resume rejects an empty journal" `Quick
       test_resume_empty_journal;
+    Alcotest.test_case "resume never proves past a stuck node" `Quick
+      test_resume_never_proves_past_stuck_node;
     Alcotest.test_case "supervise: clean run" `Quick test_supervise_clean_run;
     Alcotest.test_case "supervise: deadline escalation ladder" `Quick
       test_supervise_deadline_ladder;

@@ -19,6 +19,7 @@ module Frontier = Ivan_bab.Frontier
 module Trace = Ivan_bab.Trace
 module Tree = Ivan_spectree.Tree
 module Fault = Ivan_resilience.Fault
+module Journal = Ivan_resilience.Journal
 module Ivan = Ivan_core.Ivan
 module Diffverify = Ivan_core.Diffverify
 
@@ -137,9 +138,9 @@ let test_plan_validation () =
 (* The retry / fallback combinator *)
 
 let constant name outcome =
-  { Analyzer.name; run = (fun _net ~prop:_ ~box:_ ~splits:_ -> outcome) }
+  { Analyzer.name; run = (fun ?hint:_ _net ~prop:_ ~box:_ ~splits:_ -> outcome) }
 
-let crashing name = { Analyzer.name; run = (fun _ ~prop:_ ~box:_ ~splits:_ -> raise (Fault.Injected "boom")) }
+let crashing name = { Analyzer.name; run = (fun ?hint:_ _ ~prop:_ ~box:_ ~splits:_ -> raise (Fault.Injected "boom")) }
 
 let run_on_paper a =
   let net = Fixtures.paper_net () in
@@ -156,13 +157,13 @@ let collect () =
   (notify, fun () -> (count retried, count fell_back, count absorbed))
 
 let test_fallback_retry_recovers () =
-  let verified = { Analyzer.status = Analyzer.Verified; lb = 0.5; bounds = None; zono = None; cert = None } in
+  let verified = { Analyzer.unknown with status = Analyzer.Verified; lb = 0.5 } in
   let attempts = ref 0 in
   let flaky =
     {
       Analyzer.name = "flaky";
       run =
-        (fun _ ~prop:_ ~box:_ ~splits:_ ->
+        (fun ?hint:_ _ ~prop:_ ~box:_ ~splits:_ ->
           incr attempts;
           if !attempts <= 2 then raise (Fault.Injected "transient") else verified);
     }
@@ -210,25 +211,19 @@ let test_fallback_sanitizes_outcomes () =
     o.Analyzer.status = Analyzer.Unknown && o.Analyzer.lb = neg_infinity
   in
   (* NaN lower bound. *)
-  let nan_lb = { Analyzer.status = Analyzer.Unknown; lb = nan; bounds = None; zono = None; cert = None } in
+  let nan_lb = { Analyzer.unknown with lb = nan } in
   Alcotest.(check bool) "NaN bound rejected" true
     (degraded (run_on_paper (Analyzer.with_fallback ~policy (constant "a" nan_lb))));
   (* Verified with a negative bound contradicts itself. *)
   let lying =
-    { Analyzer.status = Analyzer.Verified; lb = -1.0; bounds = None; zono = None; cert = None }
+    { Analyzer.unknown with status = Analyzer.Verified; lb = -1.0 }
   in
   Alcotest.(check bool) "inconsistent Verified rejected" true
     (degraded (run_on_paper (Analyzer.with_fallback ~policy (constant "b" lying))));
   (* A claimed counterexample that the network refutes concretely: the
      paper property holds everywhere, so any witness is bogus. *)
   let bogus_ce =
-    {
-      Analyzer.status = Analyzer.Counterexample (Vec.of_list [ 0.5; 0.5 ]);
-      lb = -1.0;
-      bounds = None;
-      zono = None;
-      cert = None;
-    }
+    { Analyzer.unknown with status = Analyzer.Counterexample (Vec.of_list [ 0.5; 0.5 ]); lb = -1.0 }
   in
   Alcotest.(check bool) "bogus counterexample rejected" true
     (degraded (run_on_paper (Analyzer.with_fallback ~policy (constant "c" bogus_ce))))
@@ -240,7 +235,7 @@ let test_fallback_node_timeout () =
     {
       Analyzer.name = "slow";
       run =
-        (fun _ ~prop:_ ~box:_ ~splits:_ ->
+        (fun ?hint:_ _ ~prop:_ ~box:_ ~splits:_ ->
           Unix.sleepf 0.002;
           raise (Fault.Injected "boom"));
     }
@@ -268,7 +263,7 @@ let test_fallback_rejects_bad_policy () =
 
 (* Fatal conditions must pass straight through the combinator. *)
 let test_fallback_fatal_passthrough () =
-  let fatal = { Analyzer.name = "oom"; run = (fun _ ~prop:_ ~box:_ ~splits:_ -> raise Out_of_memory) } in
+  let fatal = { Analyzer.name = "oom"; run = (fun ?hint:_ _ ~prop:_ ~box:_ ~splits:_ -> raise Out_of_memory) } in
   match run_on_paper (Analyzer.with_fallback ~policy:Analyzer.default_policy fatal) with
   | exception Out_of_memory -> ()
   | _ -> Alcotest.fail "Out_of_memory swallowed by the resilience layer"
@@ -305,10 +300,10 @@ let test_engine_policy_retries_preserve_run () =
     {
       Analyzer.name = "lp-triangle";
       run =
-        (fun n ~prop ~box ~splits ->
+        (fun ?hint n ~prop ~box ~splits ->
           incr attempts;
           if !attempts mod 2 = 1 then raise (Fault.Injected "first attempt always fails")
-          else lp.Analyzer.run n ~prop ~box ~splits);
+          else lp.Analyzer.run ?hint n ~prop ~box ~splits);
     }
   in
   let ring = Trace.ring ~capacity:4096 in
@@ -482,9 +477,11 @@ let finish engine =
   let rec go () = match Engine.step engine with Engine.Running -> go () | Engine.Finished r -> r in
   go ()
 
-let restore_ok = function
-  | Ok engine -> engine
-  | Error msg -> Alcotest.failf "restore failed: %s" msg
+(* A checkpoint is a compacted journal, re-opened by journal resume. *)
+let reopen ?budget ~net ~prop bytes =
+  match Engine.resume_journal ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?budget ~net ~prop bytes with
+  | Ok (engine, _) -> engine
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
 
 let test_checkpoint_midrun_roundtrip () =
   let engine, net, prop = paper_engine () in
@@ -493,12 +490,9 @@ let test_checkpoint_midrun_roundtrip () =
     | Engine.Running -> ()
     | Engine.Finished _ -> Alcotest.fail "instance finished before the checkpoint"
   done;
-  let snapshot = Engine.checkpoint engine in
+  let snapshot = Engine.compacted_journal engine in
   let original = finish engine in
-  let restored =
-    restore_ok (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop snapshot)
-  in
-  let resumed = finish restored in
+  let resumed = finish (reopen ~net ~prop snapshot) in
   Alcotest.(check bool) "same verdict" true (original.Bab.verdict = resumed.Bab.verdict);
   Alcotest.(check int) "same analyzer calls" original.Bab.stats.Bab.analyzer_calls
     resumed.Bab.stats.Bab.analyzer_calls;
@@ -510,11 +504,7 @@ let test_checkpoint_midrun_roundtrip () =
 let test_checkpoint_terminal_roundtrip () =
   let engine, net, prop = paper_engine () in
   let run = finish engine in
-  let restored =
-    restore_ok
-      (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
-         (Engine.checkpoint engine))
-  in
+  let restored = reopen ~net ~prop (Engine.compacted_journal engine) in
   (match Engine.finished restored with
   | Some r ->
       Alcotest.(check bool) "terminal verdict survives" true (r.Bab.verdict = run.Bab.verdict);
@@ -526,50 +516,45 @@ let test_checkpoint_terminal_roundtrip () =
       Alcotest.(check bool) "stepping stays terminal" true (r.Bab.verdict = run.Bab.verdict)
   | Engine.Running -> Alcotest.fail "terminal engine resumed"
 
+(* The CLI's --checkpoint-out: a journal file, left behind mid-run. *)
 let test_checkpoint_file_roundtrip () =
-  let engine, net, prop = paper_engine () in
-  (match Engine.step engine with Engine.Running -> () | Engine.Finished _ -> ());
-  let path = Filename.temp_file "ivan_ckpt" ".txt" in
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let path = Filename.temp_file "ivan_ckpt" ".wal" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Engine.checkpoint_to_file engine path;
-      let original = finish engine in
-      let resumed =
-        finish
-          (restore_ok
-             (Engine.restore_from_file ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
-                path))
+      let journal = Journal.open_file path in
+      let engine =
+        Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~journal ~net ~prop ()
       in
+      (match Engine.step engine with Engine.Running -> () | Engine.Finished _ -> ());
+      Journal.close journal;
+      let original = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop () in
+      let resumed = finish (reopen ~net ~prop (In_channel.with_open_bin path In_channel.input_all)) in
       Alcotest.(check bool) "file roundtrip verdict" true
         (original.Bab.verdict = resumed.Bab.verdict);
       Alcotest.(check string) "file roundtrip tree" (Tree.to_string original.Bab.tree)
         (Tree.to_string resumed.Bab.tree))
 
 (* The budget-exhausted continuation: a run that ran out of calls is
-   checkpointed terminal, but restoring with a fresh budget resumes the
+   checkpointed terminal, but resuming with a fresh budget continues the
    search and reaches the unrestricted run's verdict and tree. *)
 let test_checkpoint_exhausted_then_more_budget () =
   let tight = { Bab.max_analyzer_calls = 2; max_seconds = infinity } in
   let engine, net, prop = paper_engine ~budget:tight () in
   let cut = finish engine in
   Alcotest.(check bool) "tight run exhausted" true (cut.Bab.verdict = Bab.Exhausted);
-  let snapshot = Engine.checkpoint engine in
+  let snapshot = Engine.compacted_journal engine in
   (* Without a budget override the recorded Exhausted verdict replays. *)
-  (match
-     Engine.finished
-       (restore_ok
-          (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop snapshot))
-   with
+  (match Engine.finished (reopen ~net ~prop snapshot) with
   | Some r -> Alcotest.(check bool) "replayed as exhausted" true (r.Bab.verdict = Bab.Exhausted)
-  | None -> Alcotest.fail "no-override restore should stay terminal");
+  | None -> Alcotest.fail "no-override resume should stay terminal");
   (* With one, the search continues to the true verdict. *)
   let resumed =
     finish
-      (restore_ok
-         (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff
-            ~budget:{ Bab.max_analyzer_calls = 10_000; max_seconds = infinity }
-            ~net ~prop snapshot))
+      (reopen ~budget:{ Bab.max_analyzer_calls = 10_000; max_seconds = infinity } ~net ~prop
+         snapshot)
   in
   let reference = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop () in
   Alcotest.(check bool) "resumed run proves the property" true
@@ -582,15 +567,21 @@ let test_checkpoint_exhausted_then_more_budget () =
 let test_checkpoint_rejects_garbage () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let header = Journal.encode_frame Journal.Header (Engine.fingerprint ~net ~prop) in
   List.iter
-    (fun doc ->
-      match Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop doc with
+    (fun bytes ->
+      match Engine.resume_journal ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop bytes with
       | Error _ -> ()
-      | Ok _ -> Alcotest.failf "malformed checkpoint %S accepted" doc
+      | Ok _ -> Alcotest.failf "malformed checkpoint %S accepted" bytes
       | exception e ->
-          Alcotest.failf "malformed checkpoint %S raised %s instead of returning Error" doc
+          Alcotest.failf "malformed checkpoint %S raised %s instead of returning Error" bytes
             (Printexc.to_string e))
-    [ ""; "nonsense"; "ivan-checkpoint 99\ntree:\n" ]
+    [
+      "";
+      "nonsense";
+      header ^ Journal.encode_frame Journal.Checkpoint "ivan-checkpoint 99\ntree:\n";
+      header ^ Journal.encode_frame Journal.Checkpoint "ivan-checkpoint\nstrategy fifo\ntree\n";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Interrupted trees stay usable downstream *)
