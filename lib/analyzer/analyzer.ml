@@ -132,7 +132,7 @@ let deeppoly_run net ~prop ~box ~splits =
 let deeppoly () = lp_free "deeppoly" deeppoly_run
 
 (* ------------------------------------------------------------------ *)
-(* Persistent-encoding caches.
+(* Persistent triangle-encoding cache.
 
    One encoding per (network, property) pair, rebuilt only when either
    changes — detected by physical equality, which is exactly right for
@@ -151,19 +151,6 @@ let triangle_encoding net prop =
   | _ ->
       let enc = Encoding.Triangle.build net ~prop in
       slot := Some { t_net = net; t_prop = prop; t_enc = enc };
-      enc
-
-type milp_cache = { m_net : Network.t; m_prop : Prop.t; m_enc : Encoding.Milp.t option }
-
-let milp_slot : milp_cache option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let milp_encoding net prop =
-  let slot = Domain.DLS.get milp_slot in
-  match !slot with
-  | Some c when c.m_net == net && c.m_prop == prop -> c.m_enc
-  | _ ->
-      let enc = Encoding.Milp.build net ~prop in
-      slot := Some { m_net = net; m_prop = prop; m_enc = enc };
       enc
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +172,7 @@ let evidence_of lp ~const =
           witness;
         }
 
-let lp_triangle_run ~deeppoly_shortcut ~warm ~certify ?hint net ~prop ~box ~splits =
+let lp_triangle_run ~deeppoly_shortcut ~certify ?hint net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
@@ -227,7 +214,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify ?hint net ~prop ~box ~spli
           try
             `Result
               (match hint with
-              | Some b when warm && reusable -> Lp.solve_from lp b
+              | Some b when reusable -> Lp.solve_from lp b
               | _ -> Lp.solve lp)
           with Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
         in
@@ -254,10 +241,10 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify ?hint net ~prop ~box ~spli
                   let candidate = Array.sub primal 0 (Box.dim box) in
                   { lp_done with status = concrete_status net ~prop candidate; lb }))
 
-let lp_triangle ?(deeppoly_shortcut = true) ?(warm = true) ?(certify = false) () =
+let lp_triangle ?(deeppoly_shortcut = true) ?(certify = false) () =
   (* A shortcut verdict has no LP behind it, hence no certificate. *)
   let deeppoly_shortcut = deeppoly_shortcut && not certify in
-  { name = "lp-triangle"; run = lp_triangle_run ~deeppoly_shortcut ~warm ~certify }
+  { name = "lp-triangle"; run = lp_triangle_run ~deeppoly_shortcut ~certify }
 
 (* ------------------------------------------------------------------ *)
 (* Exact MILP analyzer: big-M indicator encoding of every ambiguous
@@ -274,22 +261,14 @@ type milp_outcome = {
   milp_lp : lp_report option;
 }
 
-let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box ~splits =
+let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible ->
       { milp_status = Verified; milp_lb = infinity; nodes = 0; lp_solves = 0; witness = None;
         milp_lp = None }
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
-      let lp, const, binaries =
-        match milp_encoding net prop with
-        | Some enc -> (
-            try
-              Encoding.Milp.specialize enc ~box ~splits ~bounds;
-              (Encoding.Milp.lp enc, Encoding.Milp.const enc, Encoding.Milp.binaries enc)
-            with Encoding.Mismatch -> Encoding.build_milp net ~prop ~box ~splits ~bounds)
-        | None -> Encoding.build_milp net ~prop ~box ~splits ~bounds
-      in
+      let lp, const, binaries = Encoding.build_milp net ~prop ~box ~splits ~bounds in
       (* Verification cutoff: branches that cannot push the objective
          below 0 cannot yield a counterexample, so the search always
          prunes at 0; a caller-supplied incumbent can only tighten the
@@ -313,7 +292,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
               };
         }
       in
-      match Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) ~warm lp ~integer:binaries with
+      match Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) lp ~integer:binaries with
       | Ivan_lp.Milp.Infeasible stats ->
           (* Either the region is empty or nothing goes below the
              cutoff.  With the default cutoff 0 that proves the
@@ -336,9 +315,9 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
           in
           outcome stats status lb (Some witness))
 
-let milp_exact ?(max_nodes = 100_000) ?(warm = true) () =
+let milp_exact ?(max_nodes = 100_000) () =
   let run ?hint:_ net ~prop ~box ~splits =
-    let o = milp_verify ~max_nodes ~warm net ~prop ~box ~splits in
+    let o = milp_verify ~max_nodes net ~prop ~box ~splits in
     { unknown with status = o.milp_status; lb = o.milp_lb; lp = o.milp_lp }
   in
   { name = "milp-exact"; run }

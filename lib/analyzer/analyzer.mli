@@ -74,7 +74,7 @@ val instrument :
     attribute time to the analyzer boundary; it composes (instrumenting
     twice fires both hooks). *)
 
-val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit -> t
+val lp_triangle : ?deeppoly_shortcut:bool -> ?certify:bool -> unit -> t
 (** The LP analyzer.  When [deeppoly_shortcut] is true (default), a
     subproblem already proved by the DeepPoly pass skips the LP solve;
     the returned [lb] is then DeepPoly's.  Each [run] also performs a
@@ -89,11 +89,12 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     quantifies it.  Verdicts and bounds are unchanged.
 
     Node LPs come from a persistent per-(network, property) encoding
-    ({!Encoding.Triangle}) specialized in place per subproblem, and when
-    [warm] is true (default) the [hint] basis warm-starts the simplex
-    ({!Ivan_lp.Lp.solve_from}).  [warm] only toggles the solver entry
-    point — warm and cold runs share the identical specialized LP, so
-    verdicts and bounds are unchanged. *)
+    ({!Encoding.Triangle}) specialized in place per subproblem.  A
+    [hint] basis warm-starts the simplex ({!Ivan_lp.Lp.solve_from});
+    without one the node LP is solved cold ({!Ivan_lp.Lp.solve}).  Both
+    entry points solve the identical specialized LP, so a run whose
+    hints are dropped has the same verdicts and bounds — that is how a
+    cold run is expressed. *)
 
 val zonotope : unit -> t
 
@@ -133,7 +134,6 @@ type milp_outcome = {
 val milp_verify :
   ?max_nodes:int ->
   ?incumbent:float ->
-  ?warm:bool ->
   Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
   box:Ivan_spec.Box.t ->
@@ -144,13 +144,13 @@ val milp_verify :
     achievable margin, e.g. of the previous network's minimizing input
     evaluated on this network — tightens the cutoff further when
     negative; this is MILP warm starting, and exactly as the paper's §7
-    observes, it cannot help on instances that end up verified.
-    [warm] (default true) warm-starts each MILP node's LP relaxation
-    from its parent's simplex basis; verdict and optimum are unchanged,
-    only the pivot count drops.
+    observes, it cannot help on instances that end up verified.  Each
+    call builds a fresh one-shot encoding ({!Encoding.build_milp}); each
+    MILP node's LP relaxation warm-starts from its parent's simplex
+    basis.
     @raise Invalid_argument on leaky-ReLU networks. *)
 
-val milp_exact : ?max_nodes:int -> ?warm:bool -> unit -> t
+val milp_exact : ?max_nodes:int -> unit -> t
 (** {!milp_verify} wrapped as an analyzer: complete in one call. *)
 
 (** {2 Resilience}

@@ -603,208 +603,3 @@ module Triangle = struct
           (hi_p +. Float.max g_lo g_hi))
       t.sunits
 end
-
-(* ------------------------------------------------------------------ *)
-(* Persistent MILP encoding: big-M indicator form with a permanent
-   (v, z) pair per root-ambiguous ReLU.  Units resolved at a node
-   (stable or split) keep their pair with z pinned to the known phase
-   ([1,1] or [0,0]) and vacuous big-M rows, so the integral feasible
-   set — and hence the exact MILP optimum — matches the legacy per-node
-   encoding; pinned binaries are never fractional, so branching visits
-   the same candidates.  Row slots per unit:
-
-     M1:  pre - v <= 0          (fixed at build)
-     M2:  v - pre - l*z <= -l   (per-node l; vacuous when z pinned 0)
-     M3:  v - u*z <= 0          (per-node u; vacuous when z pinned)
-     M4:  +/- pre <= 0          (split assumption; vacuous otherwise) *)
-
-type munit = {
-  mvar : int;
-  mz : int;
-  mrelu : Relu_id.t;
-  mli : int;
-  midx : int;
-  mpre_const : float;
-  mpre_idx : int array;
-  mpre_cf : float array;
-  row_m2 : int;
-  row_m3 : int;
-  row_m4 : int;
-  m2_idx : int array;  (* [| v; z; pre vars... |] *)
-  m2_scratch : float array;
-  m4_scratch : float array;  (* len nnz(pre) *)
-}
-
-module Milp = struct
-  type t = {
-    lp : Lp.problem;
-    const : float;
-    d : int;
-    munits : munit array;
-    binaries : int list;
-    encoded : Relu_id.Set.t;
-  }
-
-  let lp t = t.lp
-
-  let const t = t.const
-
-  let binaries t = t.binaries
-
-  (* Plain-ReLU networks only; [None] for anything else (the legacy
-     builder then raises the historical [Invalid_argument] at node
-     time) or for a root-infeasible property. *)
-  let build net ~prop =
-    let supported =
-      Array.for_all
-        (fun layer ->
-          match Layer.classify (Layer.activation layer) with
-          | Layer.Linear_activation -> true
-          | Layer.Smooth _ -> false
-          | Layer.Piecewise slope -> slope = 0.0)
-        (Network.layers net)
-    in
-    if not supported then None
-    else
-      let box = prop.Prop.input in
-      match Deeppoly.analyze net ~box ~splits:Splits.empty with
-      | Deeppoly.Infeasible -> None
-      | Deeppoly.Feasible dp ->
-          let bounds = Deeppoly.bounds dp in
-          let d = Box.dim box in
-          let ambiguous = count_extra_vars net bounds ~splits:Splits.empty in
-          let nvars = d + (2 * ambiguous) in
-          let lp = Lp.create nvars in
-          for j = 0 to d - 1 do
-            Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-          done;
-          let next_var = ref d in
-          let munits = ref [] in
-          let exprs = ref (input_exprs nvars d) in
-          let layers = Network.layers net in
-          Array.iteri
-            (fun li layer ->
-              let w, b = Layer.dense_affine layer in
-              let pre = affine_exprs nvars w b !exprs in
-              let dim = Array.length pre in
-              match Layer.classify (Layer.activation layer) with
-              | Layer.Linear_activation -> exprs := pre
-              | Layer.Smooth _ -> assert false
-              | Layer.Piecewise _ ->
-                  let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-                  let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-                  let zero_expr = { coeffs = Array.make nvars 0.0; const = 0.0 } in
-                  let post =
-                    Array.init dim (fun idx ->
-                        let e = pre.(idx) in
-                        if lb.(idx) >= 0.0 then e
-                        else if ub.(idx) <= 0.0 then zero_expr
-                        else begin
-                          let v = !next_var in
-                          let z = !next_var + 1 in
-                          next_var := !next_var + 2;
-                          let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                          (* M1 is phase-independent: v >= pre always
-                             holds for ReLU. *)
-                          let m1_idx = Array.append [| v |] pre_idx in
-                          let m1_cf = Array.append [| -1.0 |] pre_cf in
-                          ignore (Lp.add_row lp m1_idx m1_cf Lp.Le (-.e.const));
-                          let row_m2 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let row_m3 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let row_m4 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let m2_idx = Array.append [| v; z |] pre_idx in
-                          munits :=
-                            {
-                              mvar = v;
-                              mz = z;
-                              mrelu = Relu_id.make ~layer:li ~index:idx;
-                              mli = li;
-                              midx = idx;
-                              mpre_const = e.const;
-                              mpre_idx = pre_idx;
-                              mpre_cf = pre_cf;
-                              row_m2;
-                              row_m3;
-                              row_m4;
-                              m2_idx;
-                              m2_scratch = Array.make (Array.length m2_idx) 0.0;
-                              m4_scratch = Array.make (Array.length pre_idx) 0.0;
-                            }
-                            :: !munits;
-                          var_expr nvars v
-                        end)
-                  in
-                  exprs := post)
-            layers;
-          let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-          Lp.set_objective lp obj;
-          let munits = Array.of_list (List.rev !munits) in
-          let binaries = Array.to_list (Array.map (fun u -> u.mz) munits) in
-          let encoded =
-            Array.fold_left (fun acc u -> Relu_id.Set.add u.mrelu acc) Relu_id.Set.empty munits
-          in
-          Some { lp; const; d; munits; binaries; encoded }
-
-  let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
-
-  let specialize t ~box ~splits ~bounds =
-    if Box.dim box <> t.d then raise Mismatch;
-    List.iter
-      (fun (id, _) -> if not (Relu_id.Set.mem id t.encoded) then raise Mismatch)
-      (Splits.bindings splits);
-    for j = 0 to t.d - 1 do
-      Lp.set_bounds t.lp j (Box.lo_at box j) (Box.hi_at box j)
-    done;
-    Array.iter
-      (fun u ->
-        let l = bounds.Bounds.layers.(u.mli).Bounds.pre_lo.(u.midx) in
-        let h = bounds.Bounds.layers.(u.mli).Bounds.pre_hi.(u.midx) in
-        if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
-        let lp = t.lp in
-        let m4_split sign =
-          for k = 0 to Array.length u.mpre_cf - 1 do
-            u.m4_scratch.(k) <- sign *. u.mpre_cf.(k)
-          done;
-          Lp.set_row lp u.row_m4 u.mpre_idx u.m4_scratch Lp.Le (-.sign *. u.mpre_const)
-        in
-        let m2_active ll =
-          (* v - pre - l*z <= -l *)
-          u.m2_scratch.(0) <- 1.0;
-          u.m2_scratch.(1) <- -.ll;
-          for k = 0 to Array.length u.mpre_cf - 1 do
-            u.m2_scratch.(k + 2) <- -.u.mpre_cf.(k)
-          done;
-          Lp.set_row lp u.row_m2 u.m2_idx u.m2_scratch Lp.Le (-.ll +. u.mpre_const)
-        in
-        let phase = Splits.find u.mrelu splits in
-        let known_pos = (match phase with Some Splits.Pos -> true | _ -> false) || l >= 0.0 in
-        let known_neg = (match phase with Some Splits.Neg -> true | _ -> false) || h <= 0.0 in
-        if known_pos then begin
-          (* z pinned 1: v = pre via M1 + M2. *)
-          Lp.set_bounds lp u.mz 1.0 1.0;
-          Lp.set_bounds lp u.mvar 0.0 infinity;
-          m2_active l;
-          vacuous lp u.row_m3;
-          match phase with Some Splits.Pos -> m4_split (-1.0) | _ -> vacuous lp u.row_m4
-        end
-        else if known_neg then begin
-          (* z pinned 0: v = 0 via its bounds. *)
-          Lp.set_bounds lp u.mz 0.0 0.0;
-          Lp.set_bounds lp u.mvar 0.0 0.0;
-          vacuous lp u.row_m2;
-          vacuous lp u.row_m3;
-          match phase with Some Splits.Neg -> m4_split 1.0 | _ -> vacuous lp u.row_m4
-        end
-        else begin
-          (* Ambiguous at this node: the full big-M relaxation. *)
-          Lp.set_bounds lp u.mz 0.0 1.0;
-          Lp.set_bounds lp u.mvar 0.0 h;
-          m2_active l;
-          (* M3: v - u*z <= 0 *)
-          u.m2_scratch.(0) <- 1.0;
-          u.m2_scratch.(1) <- -.h;
-          Lp.set_row lp u.row_m3 (Array.sub u.m2_idx 0 2) (Array.sub u.m2_scratch 0 2) Lp.Le 0.0;
-          vacuous lp u.row_m4
-        end)
-      t.munits
-end

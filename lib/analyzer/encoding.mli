@@ -1,30 +1,33 @@
 (** LP / MILP encodings of verification subproblems.
 
-    Two ways to turn a (network, property, box, splits) subproblem into
+    Three ways to turn a (network, property, box, splits) subproblem into
     an {!Ivan_lp.Lp.problem}:
 
-    - the {e legacy one-shot builders} {!build_lp} / {!build_milp},
-      which construct a fresh minimal LP for a single subproblem; and
-    - the {e persistent encodings} {!Triangle} / {!Milp}, built once per
+    - the one-shot triangle LP {!build_lp}, a fresh minimal LP for a
+      single subproblem;
+    - the one-shot big-M MILP {!build_milp}, the exact encoding behind
+      {!Analyzer.milp_verify} (one call decides a subproblem, so there is
+      nothing to persist across calls); and
+    - the {e persistent triangle encoding} {!Triangle}, built once per
       (network, property) pair and then {e specialized} per
       branch-and-bound node by mutating only variable bounds and the
       row slots of affected units.
 
-    The persistent encodings are the incremental-verification fast path:
+    The persistent encoding is the incremental-verification fast path:
     because every node of a property shares one LP of fixed shape, a
     parent node's simplex basis ({!Ivan_lp.Lp.Basis.t}) is directly
     installable in its children, which is what makes
     {!Ivan_lp.Lp.solve_from} warm starts possible.  Specialization
-    reproduces the legacy per-node polytope exactly (the extra permanent
-    variables are pinned by equality rows or [0,0] bounds at nodes where
-    the legacy encoding would have substituted them away), so both paths
-    compute identical optima and verdicts.
+    reproduces the one-shot per-node polytope exactly (the extra
+    permanent variables are pinned by equality rows or [0,0] bounds at
+    nodes where {!build_lp} would have substituted them away), so both
+    paths compute identical optima and verdicts.
 
-    {!Triangle.specialize} / {!Milp.specialize} raise {!Mismatch} for
-    subproblems the fixed shape cannot express — in practice, splits on
-    units that were stable at the property root, which can occur when a
-    specification tree built for one network is replayed against an
-    updated network.  Callers fall back to the legacy builders. *)
+    {!Triangle.specialize} raises {!Mismatch} for subproblems the fixed
+    shape cannot express — in practice, splits on units that were stable
+    at the property root, which can occur when a specification tree
+    built for one network is replayed against an updated network.
+    Callers fall back to {!build_lp}. *)
 
 module Lp = Ivan_lp.Lp
 module Network = Ivan_nn.Network
@@ -36,7 +39,7 @@ module Bounds = Ivan_domains.Bounds
 exception Mismatch
 (** A persistent encoding cannot represent the requested subproblem
     (wrong input dimension, a split on an unencoded unit, or corrupt
-    bounds).  Recoverable: rebuild per node with the legacy builder. *)
+    bounds).  Recoverable: rebuild per node with {!build_lp}. *)
 
 val build_lp :
   Network.t ->
@@ -84,26 +87,4 @@ module Triangle : sig
   val const : t -> float
   (** Objective constant (fixed across specializations: root-stable
       units are substituted with node-independent expressions). *)
-end
-
-(** Persistent big-M MILP encoding (plain-ReLU networks only). *)
-module Milp : sig
-  type t
-
-  val build : Network.t -> prop:Prop.t -> t option
-  (** [None] for unsupported (non-ReLU) networks or a DeepPoly-infeasible
-      property root. *)
-
-  val specialize : t -> box:Box.t -> splits:Splits.t -> bounds:Bounds.t -> unit
-  (** @raise Mismatch when the node is not expressible (fall back to
-      {!build_milp}). *)
-
-  val lp : t -> Lp.problem
-
-  val const : t -> float
-
-  val binaries : t -> int list
-  (** All indicator variables, including ones pinned to a single phase
-      by the current specialization (pinned binaries are integral by
-      their bounds, so the MILP search never branches on them). *)
 end

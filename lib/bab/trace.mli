@@ -109,7 +109,7 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          resumed runs, non-reusable encodings, [--no-lp-warm]) *)
+          resumed runs, non-reusable encodings, hint-dropping analyzers) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time

@@ -16,10 +16,10 @@ type setting = {
 }
 
 let classifier_setting ?(budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 })
-    ?(strategy = Ivan_bab.Frontier.Fifo) ?(policy = Analyzer.default_policy) ?(lp_warm = true)
-    ?(certify = false) ?journal_dir () =
+    ?(strategy = Ivan_bab.Frontier.Fifo) ?(policy = Analyzer.default_policy) ?(certify = false)
+    ?journal_dir () =
   {
-    analyzer = Analyzer.lp_triangle ~warm:lp_warm ~certify ();
+    analyzer = Analyzer.lp_triangle ~certify ();
     heuristic = Heuristic.zono_coeff;
     budget;
     strategy;

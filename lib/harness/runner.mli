@@ -35,7 +35,6 @@ val classifier_setting :
   ?budget:Ivan_bab.Bab.budget ->
   ?strategy:Ivan_bab.Frontier.strategy ->
   ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?lp_warm:bool ->
   ?certify:bool ->
   ?journal_dir:string ->
   unit ->
@@ -43,12 +42,9 @@ val classifier_setting :
 (** LP triangle analyzer + zonotope-coefficient ReLU splitting (the
     paper's §6.1 baseline stack).  Default budget: 400 calls, 30 s;
     default strategy: [Fifo]; default policy:
-    {!Ivan_analyzer.Analyzer.default_policy}.  [lp_warm] (default true)
-    warm-starts each node's LP from the parent's simplex basis; verdicts
-    and trees are identical either way (the CLI exposes it as
-    [--lp-warm] / [--no-lp-warm]).  [certify] (default false) makes
-    every BaB run of the setting emit a proof artifact (the CLI's
-    [--certify]); verdicts and trees are again identical, only
+    {!Ivan_analyzer.Analyzer.default_policy}.  [certify] (default
+    false) makes every BaB run of the setting emit a proof artifact (the
+    CLI's [--certify]); verdicts and trees are identical, only
     certificates and their exact self-checks are added. *)
 
 val acas_setting :

@@ -18,7 +18,7 @@ type stats = {
       (** total simplex iterations across all node LPs (warm and cold) *)
   warm_hits : int;
       (** node LPs answered from the parent basis without a cold
-          fallback; 0 when [warm:false] *)
+          fallback *)
 }
 
 type result =
@@ -36,7 +36,6 @@ type result =
 val solve :
   ?max_nodes:int ->
   ?incumbent:float ->
-  ?warm:bool ->
   Lp.problem ->
   integer:int list ->
   result
@@ -46,11 +45,10 @@ val solve :
     bound on the optimum (e.g. from a feasible point or a previous
     solve); branches whose LP relaxation cannot beat it are pruned, and
     if no solution improves on it the result is [Infeasible] (meaning:
-    the true optimum is at least [incumbent]).  [warm] (default [true])
-    re-prices each child node's LP from its parent's basis; the verdict
-    and optimum are unchanged either way ({!Lp.solve_from} falls back to
-    a cold solve rather than alter an answer), only the pivot count
-    drops.  Binary variables must have bounds within [0, 1].
-    Inner LP failures ({!Lp.Iteration_limit}, {!Lp.Numerical_failure})
-    are absorbed into [Solver_failure] rather than escaping.
+    the true optimum is at least [incumbent]).  Each child node's LP is
+    re-priced from its parent's basis; {!Lp.solve_from} falls back to a
+    cold solve rather than alter an answer.  Binary variables must have
+    bounds within [0, 1].  Inner LP failures ({!Lp.Iteration_limit},
+    {!Lp.Numerical_failure}) are absorbed into [Solver_failure]; any
+    other exception propagates, with the bounds restored all the same.
     @raise Invalid_argument on out-of-range or mis-bounded binaries. *)

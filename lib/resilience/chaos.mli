@@ -38,7 +38,7 @@ type workload = {
   budget : Engine.budget;
   journal_every : int;
   compare_lp : bool;
-      (** also assert LP counters (warm-start off / LP-free workloads
+      (** also assert LP counters (hint-dropping or LP-free analyzers
           only: parked bases are not journaled, so a resumed warm run
           legitimately solves colder) *)
 }

@@ -45,23 +45,27 @@ let prop offset =
 
 (* Warm starts stay off in chaos workloads: parked simplex bases are a
    performance cache that is deliberately not journaled, so a resumed
-   run solves colder — with [~warm:false] every LP stat is
+   run solves colder — with every basis hint dropped, every LP stat is
    deterministic and must replay exactly. *)
+let cold_lp ?certify () =
+  let a = Analyzer.lp_triangle ?certify () in
+  { a with Analyzer.run = (fun ?hint:_ net -> a.Analyzer.run net) }
+
 let workloads =
   [
     Chaos.workload ~name:"lp/proved" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+      ~analyzer:cold_lp
       ~heuristic:Heuristic.zono_coeff ();
     Chaos.workload ~name:"lp/disproved" ~net ~prop:(prop 1.3)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+      ~analyzer:cold_lp
       ~heuristic:Heuristic.zono_coeff ();
     Chaos.workload ~name:"lp/exhausted" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+      ~analyzer:cold_lp
       ~heuristic:Heuristic.zono_coeff
       ~budget:{ Engine.max_analyzer_calls = 3; max_seconds = infinity }
       ();
     Chaos.workload ~name:"lp/certified" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ~certify:true ())
+      ~analyzer:(fun () -> cold_lp ~certify:true ())
       ~heuristic:Heuristic.zono_coeff ~certify:true ();
     Chaos.workload ~name:"zono/proved-bestfirst" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.zonotope ())
@@ -73,7 +77,7 @@ let workloads =
        cadence, so every kill lands at most one Step frame from a
        Checkpoint. *)
     Chaos.workload ~name:"lp/ckpt-every-step" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+      ~analyzer:cold_lp
       ~heuristic:Heuristic.zono_coeff ~journal_every:1 ();
     (* A sparse cadence exercises long replays. *)
     Chaos.workload ~name:"zono/ckpt-sparse" ~net ~prop:(prop 1.7)

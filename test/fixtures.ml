@@ -9,6 +9,7 @@ module Network = Ivan_nn.Network
 module Builder = Ivan_nn.Builder
 module Box = Ivan_spec.Box
 module Prop = Ivan_spec.Prop
+module Analyzer = Ivan_analyzer.Analyzer
 
 let dense ?(activation = Layer.Relu) weights bias =
   Layer.make (Layer.Dense { weights = Mat.of_arrays weights; bias }) activation
@@ -37,6 +38,9 @@ let paper_prop () =
 let paper_prop_with_offset k =
   let input = Box.make ~lo:(Vec.of_list [ 0.0; 0.0 ]) ~hi:(Vec.of_list [ 1.0; 1.0 ]) in
   Prop.make ~name:(Printf.sprintf "paper+%g" k) ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:k
+
+(* [a] with every basis hint dropped: each node LP is solved cold. *)
+let cold (a : Analyzer.t) = { a with Analyzer.run = (fun ?hint:_ net -> a.Analyzer.run net) }
 
 (* A random trained-ish network: random weights scaled down so outputs
    stay moderate. *)

@@ -140,13 +140,14 @@ let prop_bab_sound_random =
 
 (* Golden warm-vs-cold run: LP warm starting is a pure solver-level
    optimization, so a branching verification must produce the identical
-   verdict, tree, node count and per-node lower bounds either way — only
-   the warm-start counters may differ. *)
+   verdict, tree, node count and per-node lower bounds whether or not
+   the analyzer sees the parent's basis hint — only the warm-start
+   counters may differ. *)
 let test_warm_cold_identical () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let cold = verify ~analyzer:(Analyzer.lp_triangle ~warm:false ()) net prop in
-  let warm = verify ~analyzer:(Analyzer.lp_triangle ~warm:true ()) net prop in
+  let cold = verify ~analyzer:(Fixtures.cold (Analyzer.lp_triangle ())) net prop in
+  let warm = verify ~analyzer:(Analyzer.lp_triangle ()) net prop in
   Alcotest.(check bool) "branching exercised" true (cold.Bab.stats.Bab.branchings >= 1);
   Alcotest.(check bool) "same verdict" true (cold.Bab.verdict = warm.Bab.verdict);
   Alcotest.(check int) "same tree size" cold.Bab.stats.Bab.tree_size warm.Bab.stats.Bab.tree_size;

@@ -149,7 +149,7 @@ let certified_run ?hi ?offset () =
   let prop = paper_prop ?hi ?offset () in
   let run =
     Bab.verify
-      ~analyzer:(Analyzer.lp_triangle ~warm:true ~certify:true ())
+      ~analyzer:(Analyzer.lp_triangle ~certify:true ())
       ~heuristic:Heuristic.zono_coeff ~certify:true ~net:(Fixtures.paper_net ()) ~prop ()
   in
   (match run.Bab.verdict with

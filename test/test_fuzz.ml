@@ -118,7 +118,7 @@ let artifact_doc =
     (let run =
        Engine.run
          (Engine.create
-            ~analyzer:(Analyzer.lp_triangle ~warm:false ~certify:true ())
+            ~analyzer:(Fixtures.cold (Analyzer.lp_triangle ~certify:true ()))
             ~heuristic:Heuristic.zono_coeff ~certify:true ~net:(net ())
             ~prop:(prop ()) ())
      in

@@ -96,6 +96,26 @@ let test_milp_solver_failure () =
       Alcotest.(check bool) "at least one LP attempted" true (stats.Milp.lp_solves >= 1)
   | _ -> Alcotest.fail "injected LP failure should surface as Solver_failure"
 
+(* An exception the search does not absorb still unpins every binary:
+   the second LP solve runs with the branched binary pinned to [1, 1]
+   and raises, and the caller must get the problem back as it was. *)
+let test_milp_restores_bounds_on_escape () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; -1.0 |];
+  Lp.set_bounds p 0 0.0 1.0;
+  Lp.set_bounds p 1 0.0 1.0;
+  Lp.add_constraint p [ (0, 2.0); (1, 2.0) ] Lp.Le 3.0;
+  let plan = Fault.plan ~at:[ (Fault.Lp_solve, 1, Fault.Transient "x") ] ~seed:0 () in
+  (match Fault.with_lp_faults plan (fun () -> Milp.solve p ~integer:[ 0; 1 ]) with
+  | _ -> Alcotest.fail "the injected exception should escape Milp.solve"
+  | exception Fault.Injected _ -> ());
+  List.iter
+    (fun j ->
+      let lo, hi = Lp.get_bounds p j in
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        (Printf.sprintf "x%d bounds restored" j) (0.0, 1.0) (lo, hi))
+    [ 0; 1 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
@@ -637,6 +657,7 @@ let suite =
     ("lp accepts infinite bounds", `Quick, test_lp_accepts_infinite_bounds);
     ("lp solve hook fires", `Quick, test_lp_solve_hook_fires);
     ("milp surfaces solver failure", `Quick, test_milp_solver_failure);
+    ("milp restores bounds when an exception escapes", `Quick, test_milp_restores_bounds_on_escape);
     ("fault plan deterministic", `Quick, test_plan_deterministic);
     ("fault plan rates", `Quick, test_plan_rates);
     ("fault plan validation", `Quick, test_plan_validation);
