@@ -279,11 +279,17 @@ let journaled net prop =
 let suites net =
   let plain = ("plain", measure (Analyzer.lp_triangle ()) net) in
   let warm = Analyzer.lp_triangle () in
-  let cold = { warm with Analyzer.run = (fun ?hint:_ net -> warm.Analyzer.run net) } in
+  let cold =
+    {
+      warm with
+      Analyzer.run = (fun ?(hint = Analyzer.no_hint) -> warm.Analyzer.run ~hint:{ hint with basis = None });
+    }
+  in
   let accepted s = List.assoc_opt "artifacts_rejected" s.counters <> Some 1.0 in
   [
-    (* Node LPs solved with the basis hint dropped vs. warm-started from
-       the parent's basis: a pure solver-level change, so runs must
+    (* Node LPs solved with the hint's basis dropped vs. warm-started
+       from the parent's basis, both resuming DeepPoly and Zonotope from
+       the hint's analyses: a pure solver-level change, so runs must
        match.  Single-node instances solve one LP either way; their
        ratio is the runner's noise floor. *)
     {

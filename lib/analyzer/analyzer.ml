@@ -18,8 +18,26 @@ type lp_report = {
   warm_misses : int;
   cold_solves : int;
   pivots : int;
-  basis : Lp.Basis.t option;
 }
+
+type hint = {
+  basis : Lp.Basis.t option;
+  deeppoly : Deeppoly.prefix option;
+  zonotope : Zonotope.prefix option;
+}
+
+let no_hint = { basis = None; deeppoly = None; zonotope = None }
+
+let for_children ~split h =
+  match split with
+  | None -> { h with deeppoly = None; zonotope = None }
+  | Some (r : Ivan_nn.Relu_id.t) ->
+      let layers = r.layer + 1 in
+      {
+        h with
+        deeppoly = Option.map (Deeppoly.truncate ~layers) h.deeppoly;
+        zonotope = Option.map (Zonotope.truncate ~layers) h.zonotope;
+      }
 
 type outcome = {
   status : status;
@@ -28,20 +46,21 @@ type outcome = {
   zono : Zonotope.analysis option;
   cert : Ivan_cert.Cert.evidence option;
   lp : lp_report option;
+  hint : hint;
 }
 
 type t = {
   name : string;
-  run : ?hint:Lp.Basis.t -> Network.t -> prop:Prop.t -> box:Box.t -> splits:Splits.t -> outcome;
+  run : ?hint:hint -> Network.t -> prop:Prop.t -> box:Box.t -> splits:Splits.t -> outcome;
 }
 
-let unknown = { status = Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None; lp = None }
+let unknown =
+  { status = Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None; lp = None; hint = no_hint }
 
 let vacuous = { unknown with status = Verified; lb = infinity }
 
-(* Wrap an analyzer that solves no LP: a basis hint has nothing to
-   warm. *)
-let lp_free name run =
+(* Wrap an analyzer that takes no hint. *)
+let hintless name run =
   { name; run = (fun ?hint:_ net ~prop ~box ~splits -> run net ~prop ~box ~splits) }
 
 let instrument ~on_run t =
@@ -66,7 +85,7 @@ let concrete_status net ~prop candidate =
 (* The LP work of one analyzer call, reported on its outcome.  Only
    called after a solve that returned (exceptions leave [last_stats]
    stale from some earlier solve of the same persistent problem). *)
-let lp_report_of lp ~reusable =
+let lp_report_of lp =
   Option.map
     (fun s ->
       let hits, misses, cold =
@@ -80,9 +99,6 @@ let lp_report_of lp ~reusable =
         warm_misses = misses;
         cold_solves = cold;
         pivots = s.Lp.pivots;
-        (* Only a persistent-encoding basis fits a child node: a one-shot
-           LP's basis fits no other problem. *)
-        basis = (if reusable then Lp.basis lp else None);
       })
     (Lp.last_stats lp)
 
@@ -97,7 +113,7 @@ let interval_run net ~prop ~box ~splits =
       let status = if itv.Itv.lo >= 0.0 then Verified else concrete_status net ~prop (Box.center box) in
       { unknown with status; lb = itv.Itv.lo; bounds = Some bounds }
 
-let interval () = lp_free "interval" interval_run
+let interval () = hintless "interval" interval_run
 
 (* ------------------------------------------------------------------ *)
 (* Zonotope analyzer *)
@@ -113,7 +129,9 @@ let zonotope_run net ~prop ~box ~splits =
       in
       { unknown with status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a }
 
-let zonotope () = lp_free "zonotope" zonotope_run
+(* The input-splitting analyzer: every node has a box of its own, so no
+   analysis could ever be resumed and none is kept resumable. *)
+let zonotope () = hintless "zonotope" zonotope_run
 
 (* ------------------------------------------------------------------ *)
 (* DeepPoly-only analyzer: back-substituted bounds without the LP pass.
@@ -125,11 +143,11 @@ let deeppoly_run net ~prop ~box ~splits =
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp ->
       let bounds = Deeppoly.bounds dp in
-      let itv = Deeppoly.objective_itv dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
-      let status = if itv.Itv.lo >= 0.0 then Verified else concrete_status net ~prop (Box.center box) in
-      { unknown with status; lb = itv.Itv.lo; bounds = Some bounds }
+      let lb = Deeppoly.objective_lo dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
+      let status = if lb >= 0.0 then Verified else concrete_status net ~prop (Box.center box) in
+      { unknown with status; lb; bounds = Some bounds }
 
-let deeppoly () = lp_free "deeppoly" deeppoly_run
+let deeppoly () = hintless "deeppoly" deeppoly_run
 
 (* ------------------------------------------------------------------ *)
 (* Persistent triangle-encoding cache.
@@ -172,26 +190,33 @@ let evidence_of lp ~const =
           witness;
         }
 
-let lp_triangle_run ~deeppoly_shortcut ~certify ?hint net ~prop ~box ~splits =
-  match Deeppoly.analyze net ~box ~splits with
+let lp_triangle_run ~deeppoly_shortcut ~certify ?(hint = no_hint) net ~prop ~box ~splits =
+  match Deeppoly.analyze ?reuse:hint.deeppoly net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
       (* Zonotope pass for branching scores (and a second bound). *)
       let zono =
-        match Zonotope.analyze net ~box ~splits with
+        match Zonotope.analyze ?reuse:hint.zonotope ~resumable:true net ~box ~splits with
         | Zonotope.Infeasible -> None
         | Zonotope.Feasible a -> Some a
       in
-      let dp_itv = Deeppoly.objective_itv dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
+      let handed =
+        {
+          no_hint with
+          deeppoly = Some (Deeppoly.prefix dp);
+          zonotope = Option.map (fun a -> a.Zonotope.prefix) zono;
+        }
+      in
+      let dp_lb = Deeppoly.objective_lo dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
       let zono_lb =
         match zono with
         | None -> neg_infinity
         | Some a -> (Zonotope.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset).Itv.lo
       in
-      let cheap_lb = Float.max dp_itv.Itv.lo zono_lb in
-      if deeppoly_shortcut && cheap_lb >= 0.0 then
-        { unknown with status = Verified; lb = cheap_lb; bounds = Some bounds; zono }
+      let cheap_lb = Float.max dp_lb zono_lb in
+      let cheap = { unknown with bounds = Some bounds; zono; hint = handed } in
+      if deeppoly_shortcut && cheap_lb >= 0.0 then { cheap with status = Verified; lb = cheap_lb }
       else
         (* Specialize the persistent per-property encoding to this node;
            fall back to a fresh one-shot LP when the node is outside the
@@ -213,7 +238,7 @@ let lp_triangle_run ~deeppoly_shortcut ~certify ?hint net ~prop ~box ~splits =
         let solved =
           try
             `Result
-              (match hint with
+              (match hint.basis with
               | Some b when reusable -> Lp.solve_from lp b
               | _ -> Lp.solve lp)
           with Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
@@ -222,9 +247,12 @@ let lp_triangle_run ~deeppoly_shortcut ~certify ?hint net ~prop ~box ~splits =
         | `Solver_failed ->
             (* Numerical failure: fall back on the sound cheap bound. *)
             let status = if cheap_lb >= 0.0 then Verified else Unknown in
-            { unknown with status; lb = cheap_lb; bounds = Some bounds; zono }
+            { cheap with status; lb = cheap_lb }
         | `Result r -> (
-            let lp_done = { unknown with bounds = Some bounds; zono; lp = lp_report_of lp ~reusable } in
+            (* Only a persistent-encoding basis fits a child node: a
+               one-shot LP's basis fits no other problem. *)
+            let basis = if reusable then Lp.basis lp else None in
+            let lp_done = { cheap with lp = lp_report_of lp; hint = { handed with basis } } in
             let cert = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
@@ -288,7 +316,6 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
                 warm_misses = 0;
                 cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
                 pivots = stats.Ivan_lp.Milp.simplex_pivots;
-                basis = None;
               };
         }
       in

@@ -22,12 +22,31 @@ type lp_report = {
   warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
   cold_solves : int;  (** solves that never attempted a warm start *)
   pivots : int;  (** total simplex pivots across the call's solves *)
-  basis : Ivan_lp.Lp.Basis.t option;
-      (** basis to hand to child nodes as their [hint]; [None] when the
-          solve used a one-shot (non-reusable) encoding or did not end
-          [Optimal] *)
 }
 (** The LP work of one analyzer call. *)
+
+type hint = {
+  basis : Ivan_lp.Lp.Basis.t option;
+      (** an optimal simplex basis to warm-start the node LP from;
+          [None] when the solve used a one-shot (non-reusable) encoding
+          or did not end [Optimal] *)
+  deeppoly : Ivan_domains.Deeppoly.prefix option;  (** a donor DeepPoly prefix *)
+  zonotope : Ivan_domains.Zonotope.prefix option;  (** a donor Zonotope prefix *)
+}
+(** What one node hands on to the analysis of another: its LP basis and
+    its domain analyses, from which {!Ivan_domains.Deeppoly.analyze} and
+    {!Ivan_domains.Zonotope.analyze} resume at the first layer whose
+    splits differ.  A hint is only ever a shortcut: any hint, or none,
+    yields the same outcome up to LP warm-start counters. *)
+
+val no_hint : hint
+(** The hint that offers nothing. *)
+
+val for_children : split:Ivan_nn.Relu_id.t option -> hint -> hint
+(** The part of a node's hint its children can use.  After a split of
+    ReLU [r] they first differ from the node at [r]'s layer, so the
+    domain prefixes keep the layers up to that one and no others; after
+    an input split ([None]) their box is new and no prefix is kept. *)
 
 type outcome = {
   status : status;
@@ -45,16 +64,20 @@ type outcome = {
           analyzer and from cheap-bound shortcuts, which the engine
           counts as certificate-unavailable *)
   lp : lp_report option;  (** present iff the call solved an LP *)
+  hint : hint;
+      (** what this node hands on: its children get the part
+          {!for_children} keeps, a node with nothing parked gets its
+          domain part *)
 }
 
 val unknown : outcome
 (** The outcome that claims nothing: [Unknown] with [lb = neg_infinity]
-    and no bounds, certificate or LP report. *)
+    and no bounds, certificate, LP report or hint. *)
 
 type t = {
   name : string;
   run :
-    ?hint:Ivan_lp.Lp.Basis.t ->
+    ?hint:hint ->
     Ivan_nn.Network.t ->
     prop:Ivan_spec.Prop.t ->
     box:Ivan_spec.Box.t ->
@@ -62,9 +85,11 @@ type t = {
     outcome;
 }
 (** [box] is the subproblem's input region (equal to [prop.input] under
-    ReLU splitting; a sub-box under input splitting).  [hint] is the
-    parent node's optimal simplex basis (its outcome's [lp.basis]);
-    LP-backed analyzers warm-start from it, all others ignore it. *)
+    ReLU splitting; a sub-box under input splitting).  [hint] is another
+    node's outcome [hint] — the parent's, or for a node with nothing
+    parked the previous node's without its basis.  {!lp_triangle}
+    warm-starts from its basis and resumes its DeepPoly and Zonotope
+    passes from its prefixes; all other analyzers ignore it. *)
 
 val instrument :
   on_run:(name:string -> elapsed:float -> outcome:outcome -> unit) -> t -> t
@@ -93,10 +118,12 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?certify:bool -> unit -> t
     [hint] basis warm-starts the simplex ({!Ivan_lp.Lp.solve_from});
     without one the node LP is solved cold ({!Ivan_lp.Lp.solve}).  Both
     entry points solve the identical specialized LP, so a run whose
-    hints are dropped has the same verdicts and bounds — that is how a
-    cold run is expressed. *)
+    hint bases are dropped has the same verdicts and bounds — that is
+    how a cold run is expressed. *)
 
 val zonotope : unit -> t
+(** The input-splitting analyzer: its nodes all have boxes of their own,
+    so it resumes nothing and hands nothing on. *)
 
 val deeppoly : unit -> t
 (** DeepPoly back-substituted bounds without the LP pass — the middle

@@ -43,14 +43,17 @@ type t = {
   frontier : Tree.node Frontier.t;
   started : float;
   mutable current : Tree.node option;  (* the node the step in flight dequeued *)
-  (* Warm-start cache: the parent's optimal basis for each frontier node
-     whose parent solved an LP.  A performance cache, not verification
-     state — events do not carry bases, so replayed nodes start cold. *)
-  bases : (int, Lp.Basis.t) Hashtbl.t;
+  (* Resume cache: the parent's hint (LP basis and domain analyses) for
+     each frontier node whose parent split, and the previous node's
+     domain analyses for a node with nothing parked.  A performance
+     cache, not verification state — events do not carry hints, so
+     replayed nodes start from scratch. *)
+  hints : (int, Analyzer.hint) Hashtbl.t;
+  mutable previous : Analyzer.hint;
   certify : bool;
   (* Per-leaf certificates keyed by node id, self-checked in exact
      arithmetic before being admitted; assembled into the run's proof
-     artifact.  Like [bases], certificates travel beside their events,
+     artifact.  Like [hints], certificates travel beside their events,
      never inside them: a resumed run holds none for the leaves verified
      before the resume (they count as missing in the artifact check,
      never as silently certified). *)
@@ -118,12 +121,14 @@ let current t id =
 
 let current_id t = match t.current with Some n -> Tree.node_id n | None -> -1
 
-(* Apply one event to the state.  [basis] and [leaf] are the data a live
-   step has beside its event — the node's solved LP basis (parked for
-   the children of a [Split]) and its checked certificate (kept for a
-   [Certified] leaf); replay has neither.  A replayed event that does
-   not fit the state (a diverging journal) raises [Failure]. *)
-let apply ?basis ?leaf t ev =
+(* Apply one event to the state.  [hint] and [leaf] are the data a live
+   step has beside its event — the node's outcome hint (kept, without
+   its basis, for the next node of an [Analyzed] event, and parked for
+   the children of a [Split] as far as they can use it) and its checked
+   certificate (kept for a [Certified] leaf); replay has neither.  A
+   replayed event that does not fit the state (a diverging journal)
+   raises [Failure]. *)
+let apply ?hint ?leaf t ev =
   if Option.is_some t.finished then fail "event after the terminal verdict";
   t.stats <- Trace.count t.stats ev;
   match ev with
@@ -135,9 +140,11 @@ let apply ?basis ?leaf t ev =
       | Some n when Tree.node_id n = node ->
           t.steps <- t.steps + 1;
           t.current <- Some n;
-          Hashtbl.remove t.bases node
+          Hashtbl.remove t.hints node
       | _ -> fail "frontier order diverged at node %d" node)
-  | Trace.Analyzed { node; lb; _ } -> Tree.set_lb (current t node) lb
+  | Trace.Analyzed { node; lb; _ } ->
+      Tree.set_lb (current t node) lb;
+      Option.iter (fun (h : Analyzer.hint) -> t.previous <- { h with basis = None }) hint
   | Trace.Split { node; decision; left; right } ->
       let n = current t node in
       let l, r = Tree.split t.tree n decision in
@@ -145,10 +152,14 @@ let apply ?basis ?leaf t ev =
         fail "split of node %d minted ids %d/%d, the event says %d/%d" node (Tree.node_id l)
           (Tree.node_id r) left right;
       Option.iter
-        (fun b ->
-          Hashtbl.replace t.bases left b;
-          Hashtbl.replace t.bases right b)
-        basis;
+        (fun h ->
+          let split =
+            match decision with Ivan_spectree.Decision.Relu_split relu -> Some relu | Input_split _ -> None
+          in
+          let h = Analyzer.for_children ~split h in
+          Hashtbl.replace t.hints left h;
+          Hashtbl.replace t.hints right h)
+        hint;
       (* Children inherit the parent's bound as their best-first
          priority until analyzed. *)
       Frontier.push t.frontier ~priority:(Tree.lb n) l;
@@ -175,8 +186,8 @@ let apply ?basis ?leaf t ev =
 
 (* Apply, then observe: the trace sink and, when a journal is attached,
    the step's journal frame. *)
-let emit ?basis ?leaf t ev =
-  apply ?basis ?leaf t ev;
+let emit ?hint ?leaf t ev =
+  apply ?hint ?leaf t ev;
   Trace.emit t.trace ev;
   if Option.is_some t.journal then t.jbuf <- ev :: t.jbuf
 
@@ -198,7 +209,8 @@ let make ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify ~net ~pr
       frontier = Frontier.create strategy;
       started = Clock.monotonic () -. elapsed;
       current = None;
-      bases = Hashtbl.create 64;
+      hints = Hashtbl.create 64;
+      previous = Analyzer.no_hint;
       certify;
       certs = Hashtbl.create 64;
       journal = None;
@@ -285,7 +297,7 @@ let step_once t =
           Finished (finish t Exhausted)
       | Some node -> (
           let id = Tree.node_id node in
-          let hint = Hashtbl.find_opt t.bases id in
+          let hint = Option.value (Hashtbl.find_opt t.hints id) ~default:t.previous in
           emit t
             (Trace.Dequeued
                {
@@ -299,7 +311,7 @@ let step_once t =
             (* Last line of defense: even without a resilience policy, a
                non-fatal analyzer exception degrades this node to Unknown
                instead of crashing a run holding a reusable tree. *)
-            try t.analyzer.Analyzer.run ?hint t.net ~prop:t.prop ~box ~splits
+            try t.analyzer.Analyzer.run ~hint t.net ~prop:t.prop ~box ~splits
             with e when not (Analyzer.fatal_exn e) ->
               emit t
                 (Trace.Absorbed
@@ -319,7 +331,7 @@ let step_once t =
                      pivots = r.pivots;
                    }))
             outcome.Analyzer.lp;
-          emit t
+          emit ~hint:outcome.Analyzer.hint t
             (Trace.Analyzed
                {
                  node = id;
@@ -344,10 +356,8 @@ let step_once t =
                   Finished (finish t Exhausted)
               | Some decision ->
                   let left = Tree.next_id t.tree in
-                  (* The children warm-start from this node's basis. *)
-                  emit
-                    ?basis:(Option.bind outcome.Analyzer.lp (fun r -> r.Analyzer.basis))
-                    t
+                  (* The children resume from this node's hint. *)
+                  emit ~hint:outcome.Analyzer.hint t
                     (Trace.Split { node = id; decision; left; right = left + 1 });
                   Running)))
 

@@ -77,6 +77,13 @@ val create :
     exhausts before any analyzer call.  [initial_tree] (default: a
     single root node) is copied, never mutated.
 
+    Every analyzer call gets a {!Ivan_analyzer.Analyzer.hint}: the
+    children of a split get their parent's outcome hint, and a node with
+    nothing parked (the root, a leaf of [initial_tree], a node restored
+    from a journal) gets the previous node's without its LP basis.
+    Hints only save work: the tree, bounds and verdict are the same
+    whatever they hold.
+
     [policy], when supplied, hardens the analyzer with
     {!Ivan_analyzer.Analyzer.with_fallback}: failures are retried, then
     degraded through cheaper analyzers, and counted into the run's
@@ -150,8 +157,9 @@ val finished : t -> run option
     died (its Step frame never landed), so rework is bounded by one
     node.
 
-    Parked warm-start bases and leaf certificates are not journaled:
-    the first LP solve of each resumed frontier node runs cold, and
+    Parked hints and leaf certificates are not journaled: the first LP
+    solve of each resumed frontier node runs cold and its domain
+    analyses start from the previous node's (or from scratch), and
     leaves verified before a resume carry no certificate, so a resumed
     [Proved] artifact fails {!Ivan_cert.Cert.check_artifact} with those
     leaves reported missing — certification honestly requires an
@@ -204,7 +212,7 @@ val resume_journal :
 val compacted_journal : t -> string
 (** The engine's state as journal bytes: a Header frame and one
     Checkpoint frame.  {!resume_journal} of these bytes continues
-    exactly where the engine stands (parked bases and leaf certificates
+    exactly where the engine stands (parked hints and leaf certificates
     aside, see above) — the elapsed-time clock resumes from the recorded
     value. *)
 

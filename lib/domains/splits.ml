@@ -21,6 +21,17 @@ let cardinal = Relu_id.Map.cardinal
 
 let bindings = Relu_id.Map.bindings
 
+let first_difference a b =
+  let rec go sa sb =
+    match (sa (), sb ()) with
+    | Seq.Nil, Seq.Nil -> None
+    | Seq.Cons (((r : Relu_id.t), _), _), Seq.Nil | Seq.Nil, Seq.Cons ((r, _), _) -> Some r.layer
+    | Seq.Cons (((ra : Relu_id.t), pa), sa'), Seq.Cons (((rb : Relu_id.t), pb), sb') ->
+        let c = Relu_id.compare ra rb in
+        if c = 0 && pa = pb then go sa' sb' else Some (if c <= 0 then ra.layer else rb.layer)
+  in
+  if a == b then None else go (Relu_id.Map.to_seq a) (Relu_id.Map.to_seq b)
+
 let negate = function Pos -> Neg | Neg -> Pos
 
 let phase_name = function Pos -> "+" | Neg -> "-"

@@ -24,6 +24,11 @@ val cardinal : t -> int
 
 val bindings : t -> (Ivan_nn.Relu_id.t * phase) list
 
+val first_difference : t -> t -> int option
+(** The lowest layer on which the two split sets disagree — a ReLU split
+    in one and not the other, or split with opposite phases — or [None]
+    when they are equal. *)
+
 val negate : phase -> phase
 
 val phase_name : phase -> string

@@ -1,21 +1,17 @@
-(* Row-major storage in a flat array: entry (i, j) lives at [i * cols + j]. *)
-type t = { rows : int; cols : int; data : float array }
+(* Row-major storage, one array per row: entry (i, j) lives at
+   [data.(i).(j)].  The rows are never shared between matrices, so
+   {!row_arrays} can hand them out without copying. *)
+type t = { rows : int; cols : int; data : float array array }
 
 let create rows cols x =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
-  { rows; cols; data = Array.make (rows * cols) x }
+  { rows; cols; data = Array.init rows (fun _ -> Array.make cols x) }
 
 let zeros rows cols = create rows cols 0.0
 
 let init rows cols f =
   if rows < 0 || cols < 0 then invalid_arg "Mat.init: negative dimension";
-  let data = Array.make (rows * cols) 0.0 in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      data.((i * cols) + j) <- f i j
-    done
-  done;
-  { rows; cols; data }
+  { rows; cols; data = Array.init rows (fun i -> Array.init cols (fun j -> f i j)) }
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
@@ -23,11 +19,11 @@ let rows m = m.rows
 
 let cols m = m.cols
 
-let get m i j = m.data.((i * m.cols) + j)
+let get m i j = m.data.(i).(j)
 
-let set m i j x = m.data.((i * m.cols) + j) <- x
+let set m i j x = m.data.(i).(j) <- x
 
-let copy m = { m with data = Array.copy m.data }
+let copy m = { m with data = Array.map Array.copy m.data }
 
 let of_arrays a =
   let rows = Array.length a in
@@ -35,9 +31,11 @@ let of_arrays a =
   Array.iter (fun r -> if Array.length r <> cols then invalid_arg "Mat.of_arrays: ragged rows") a;
   init rows cols (fun i j -> a.(i).(j))
 
-let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
+let to_arrays m = Array.map Array.copy m.data
 
-let row m i = Array.sub m.data (i * m.cols) m.cols
+let row m i = Array.copy m.data.(i)
+
+let row_arrays m = m.data
 
 let col m j = Array.init m.rows (fun i -> get m i j)
 
@@ -48,27 +46,29 @@ let check_same name a b =
     invalid_arg
       (Printf.sprintf "Mat.%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols b.rows b.cols)
 
+let map2 f a b = { a with data = Array.map2 (Array.map2 f) a.data b.data }
+
 let add a b =
   check_same "add" a b;
-  { a with data = Array.init (Array.length a.data) (fun k -> a.data.(k) +. b.data.(k)) }
+  map2 ( +. ) a b
 
 let sub a b =
   check_same "sub" a b;
-  { a with data = Array.init (Array.length a.data) (fun k -> a.data.(k) -. b.data.(k)) }
+  map2 ( -. ) a b
 
-let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
+let map f m = { m with data = Array.map (Array.map f) m.data }
 
-let map f m = { m with data = Array.map f m.data }
+let scale s m = map (fun x -> s *. x) m
 
 let matvec m x =
   if Array.length x <> m.cols then
     invalid_arg (Printf.sprintf "Mat.matvec: %dx%d with vector of dim %d" m.rows m.cols (Array.length x));
   let y = Array.make m.rows 0.0 in
   for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
+    let r = m.data.(i) in
     let acc = ref 0.0 in
     for j = 0 to m.cols - 1 do
-      acc := !acc +. (m.data.(base + j) *. x.(j))
+      acc := !acc +. (r.(j) *. x.(j))
     done;
     y.(i) <- !acc
   done;
@@ -79,11 +79,11 @@ let matvec_t m x =
     invalid_arg (Printf.sprintf "Mat.matvec_t: %dx%d with vector of dim %d" m.rows m.cols (Array.length x));
   let y = Array.make m.cols 0.0 in
   for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
+    let r = m.data.(i) in
     let xi = x.(i) in
     if xi <> 0.0 then
       for j = 0 to m.cols - 1 do
-        y.(j) <- y.(j) +. (m.data.(base + j) *. xi)
+        y.(j) <- y.(j) +. (r.(j) *. xi)
       done
   done;
   y
@@ -103,26 +103,17 @@ let matmul a b =
   done;
   c
 
-let frobenius_norm m =
-  let acc = ref 0.0 in
-  Array.iter (fun x -> acc := !acc +. (x *. x)) m.data;
-  sqrt !acc
+let fold f init m = Array.fold_left (Array.fold_left f) init m.data
 
-let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
+let frobenius_norm m = sqrt (fold (fun acc x -> acc +. (x *. x)) 0.0 m)
+
+let max_abs m = fold (fun acc x -> Float.max acc (Float.abs x)) 0.0 m
 
 let equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
-  && begin
-       let ok = ref true in
-       for k = 0 to Array.length a.data - 1 do
-         if Float.abs (a.data.(k) -. b.data.(k)) > eps then ok := false
-       done;
-       !ok
-     end
+  && Array.for_all2 (Array.for_all2 (fun x y -> not (Float.abs (x -. y) > eps))) a.data b.data
 
 let pp fmt m =
   Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "%a@," Vec.pp (row m i)
-  done;
+  Array.iter (fun r -> Format.fprintf fmt "%a@," Vec.pp r) m.data;
   Format.fprintf fmt "@]"

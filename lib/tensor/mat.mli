@@ -30,6 +30,10 @@ val to_arrays : t -> float array array
 val row : t -> int -> Vec.t
 (** [row m i] is a fresh copy of row [i]. *)
 
+val row_arrays : t -> float array array
+(** The matrix's own rows, not copies: for hot loops that read a
+    matrix row by row.  Never write them. *)
+
 val col : t -> int -> Vec.t
 
 val transpose : t -> t

@@ -45,11 +45,11 @@ let prop offset =
 
 (* Warm starts stay off in chaos workloads: parked simplex bases are a
    performance cache that is deliberately not journaled, so a resumed
-   run solves colder — with every basis hint dropped, every LP stat is
-   deterministic and must replay exactly. *)
+   run solves colder — with every hint's basis dropped, every LP stat
+   is deterministic and must replay exactly. *)
 let cold_lp ?certify () =
   let a = Analyzer.lp_triangle ?certify () in
-  { a with Analyzer.run = (fun ?hint:_ net -> a.Analyzer.run net) }
+  { a with Analyzer.run = (fun ?(hint = Analyzer.no_hint) -> a.Analyzer.run ~hint:{ hint with basis = None }) }
 
 let workloads =
   [

@@ -39,8 +39,10 @@ let paper_prop_with_offset k =
   let input = Box.make ~lo:(Vec.of_list [ 0.0; 0.0 ]) ~hi:(Vec.of_list [ 1.0; 1.0 ]) in
   Prop.make ~name:(Printf.sprintf "paper+%g" k) ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:k
 
-(* [a] with every basis hint dropped: each node LP is solved cold. *)
-let cold (a : Analyzer.t) = { a with Analyzer.run = (fun ?hint:_ net -> a.Analyzer.run net) }
+(* [a] with the basis of every hint dropped: each node LP is solved
+   cold, while DeepPoly and Zonotope still resume from the hint. *)
+let cold (a : Analyzer.t) =
+  { a with Analyzer.run = (fun ?(hint = Analyzer.no_hint) -> a.Analyzer.run ~hint:{ hint with basis = None }) }
 
 (* A random trained-ish network: random weights scaled down so outputs
    stay moderate. *)

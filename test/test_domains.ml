@@ -3,8 +3,10 @@
    handling, infeasibility detection. *)
 
 module Vec = Ivan_tensor.Vec
+module Mat = Ivan_tensor.Mat
 module Rng = Ivan_tensor.Rng
 module Network = Ivan_nn.Network
+module Layer = Ivan_nn.Layer
 module Relu_id = Ivan_nn.Relu_id
 module Box = Ivan_spec.Box
 module Itv = Ivan_domains.Itv
@@ -423,12 +425,223 @@ let test_diff_budget () =
       | Diff.Deviation _ -> () (* centre probe may legitimately catch it *)
       | Diff.Equivalent -> Alcotest.fail "cannot be proved with one box")
 
+(* ---------------- resumed analyses ---------------- *)
+
+(* A random small network: an optional convolution first, then dense
+   layers whose hidden activations are drawn from ReLU, leaky ReLU,
+   sigmoid and tanh; identity output. *)
+let random_mixed_net rng =
+  let weight () = Rng.uniform rng (-1.0) 1.0 in
+  let hidden () =
+    match Rng.int rng 4 with
+    | 0 -> Layer.Relu
+    | 1 -> Layer.Leaky_relu 0.1
+    | 2 -> Layer.Sigmoid
+    | _ -> Layer.Tanh
+  in
+  let dense ~inputs ~outputs act =
+    let weights = Mat.init outputs inputs (fun _ _ -> weight ()) in
+    Layer.make (Layer.Dense { weights; bias = Array.init outputs (fun _ -> weight ()) }) act
+  in
+  let conv, width =
+    if Rng.bool rng then
+      let spec =
+        {
+          Layer.in_channels = 1;
+          in_height = 4;
+          in_width = 4;
+          out_channels = 2;
+          kernel_h = 3;
+          kernel_w = 3;
+          stride = 1;
+          padding = 0;
+        }
+      in
+      let layer =
+        let kernel = Array.init 18 (fun _ -> weight ()) in
+        Layer.make
+          (Layer.Conv2d { spec; kernel; bias = Array.init 2 (fun _ -> weight ()) })
+          (if Rng.bool rng then Layer.Relu else Layer.Leaky_relu 0.2)
+      in
+      ([ layer ], 8)
+    else ([], 2 + Rng.int rng 3)
+  in
+  let input = match conv with [] -> width | _ -> 16 in
+  let rec dense_layers inputs k =
+    if k = 0 then [ dense ~inputs ~outputs:(1 + Rng.int rng 2) Layer.Identity ]
+    else
+      let outputs = 2 + Rng.int rng 4 in
+      dense ~inputs ~outputs (hidden ()) :: dense_layers outputs (k - 1)
+  in
+  (Network.make (conv @ dense_layers width (1 + Rng.int rng 3)), input)
+
+let random_box rng d =
+  let lo = Array.init d (fun _ -> Rng.uniform rng (-1.0) 0.5) in
+  Box.make ~lo ~hi:(Array.map (fun l -> l +. Rng.uniform rng 0.01 1.0) lo)
+
+let random_phase rng = if Rng.bool rng then Splits.Pos else Splits.Neg
+
+(* A ReLU of [ids] that [splits] leaves unsplit, if any. *)
+let pick_free rng ids splits =
+  match List.filter (fun r -> not (Splits.mem r splits)) (Array.to_list ids) with
+  | [] -> None
+  | free -> Some (List.nth free (Rng.int rng (List.length free)))
+
+(* About a quarter of the ReLUs, each split in the phase it takes at one
+   sampled input of [box]: a feasible split set. *)
+let random_splits rng net box ids =
+  let pre = (Network.forward_trace net (Box.sample ~rng box)).Network.pre in
+  Array.fold_left
+    (fun s (r : Relu_id.t) ->
+      if Rng.int rng 4 <> 0 then s
+      else Splits.add r (if pre.(r.Relu_id.layer).(r.Relu_id.index) >= 0.0 then Splits.Pos else Splits.Neg) s)
+    Splits.empty ids
+
+(* A donor split set and a node split set related as parent/child,
+   siblings, unrelated, or node-infeasible (a ReLU forced into the phase
+   its root bounds exclude). *)
+let split_pair rng net box ids =
+  let base = random_splits rng net box ids in
+  let with_child s = match pick_free rng ids s with None -> s | Some r -> Splits.add r (random_phase rng) s in
+  match Rng.int rng 4 with
+  | 0 -> (base, with_child base)
+  | 1 -> (
+      match pick_free rng ids base with
+      | None -> (base, base)
+      | Some r -> (Splits.add r Splits.Pos base, Splits.add r Splits.Neg base))
+  | 2 -> (base, random_splits rng net box ids)
+  | _ -> (
+      let stable =
+        match Deeppoly.analyze net ~box ~splits:Splits.empty with
+        | Deeppoly.Infeasible -> []
+        | Deeppoly.Feasible a ->
+            List.filter_map
+              (fun (r : Relu_id.t) ->
+                let l = (Deeppoly.bounds a).Bounds.layers.(r.Relu_id.layer) in
+                if l.Bounds.pre_hi.(r.Relu_id.index) < 0.0 then Some (r, Splits.Pos)
+                else if l.Bounds.pre_lo.(r.Relu_id.index) > 0.0 then Some (r, Splits.Neg)
+                else None)
+              (Array.to_list ids)
+      in
+      match stable with
+      | [] -> (base, with_child base)
+      | _ ->
+          let r, phase = List.nth stable (Rng.int rng (List.length stable)) in
+          let keep = Splits.bindings base |> List.filter (fun (r', _) -> not (Relu_id.equal r r')) in
+          let without = List.fold_left (fun s (r', p) -> Splits.add r' p s) Splits.empty keep in
+          (without, Splits.add r phase without))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_bounds (a : Bounds.t) (b : Bounds.t) =
+  Array.length a.Bounds.layers = Array.length b.Bounds.layers
+  && Array.for_all2
+       (fun (x : Bounds.layer) (y : Bounds.layer) ->
+         same_vec x.Bounds.pre_lo y.Bounds.pre_lo
+         && same_vec x.Bounds.pre_hi y.Bounds.pre_hi
+         && same_vec x.Bounds.post_lo y.Bounds.post_lo
+         && same_vec x.Bounds.post_hi y.Bounds.post_hi)
+       a.Bounds.layers b.Bounds.layers
+
+let same_deeppoly ~c a b =
+  match (a, b) with
+  | Deeppoly.Infeasible, Deeppoly.Infeasible -> true
+  | Deeppoly.Feasible a, Deeppoly.Feasible b ->
+      let itv x = Deeppoly.objective_itv x ~c ~offset:0.5 in
+      same_bounds (Deeppoly.bounds a) (Deeppoly.bounds b)
+      && same_bits (Deeppoly.objective_lo a ~c ~offset:0.5) (Deeppoly.objective_lo b ~c ~offset:0.5)
+      && same_bits (itv a).Itv.lo (itv b).Itv.lo
+      && same_bits (itv a).Itv.hi (itv b).Itv.hi
+  | _ -> false
+
+let same_zonotope a b =
+  match (a, b) with
+  | Zonotope.Infeasible, Zonotope.Infeasible -> true
+  | Zonotope.Feasible a, Zonotope.Feasible b ->
+      same_bounds a.Zonotope.bounds b.Zonotope.bounds
+      && Relu_id.Map.equal Int.equal a.Zonotope.relu_terms b.Zonotope.relu_terms
+      && a.Zonotope.nterms = b.Zonotope.nterms
+      && same_vec a.Zonotope.output_center b.Zonotope.output_center
+      && Array.length a.Zonotope.output_gen = Array.length b.Zonotope.output_gen
+      && Array.for_all2 same_vec a.Zonotope.output_gen b.Zonotope.output_gen
+  | _ -> false
+
+(* Resuming from any donor is the from-scratch analysis, bit for bit:
+   each donor/node pair is checked, with the donor whole and cut to its
+   first layers, and so is the node resumed once more from its own
+   resumed analysis.  A donor of another network (of the same shape) or
+   another box (of equal bounds) resumes nothing. *)
+let prop_resume_bit_identical =
+  QCheck.Test.make ~name:"resumed analyses equal from-scratch ones bit for bit" ~count:300
+    QCheck.(make QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let net, d = random_mixed_net rng in
+      let box = random_box rng d in
+      let ids = Network.relu_ids net in
+      let donor_splits, splits = split_pair rng net box ids in
+      let c = Array.init (Network.output_dim net) (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+      let layers = Rng.int rng (Network.num_layers net + 1) in
+      let other_net = Network.map_weights (fun w -> w *. 0.5) net in
+      let other_box = Box.make ~lo:(Box.lo box) ~hi:(Box.hi box) in
+      let dp_scratch = Deeppoly.analyze net ~box ~splits in
+      let zono_scratch = Zonotope.analyze net ~box ~splits in
+      let check_dp donor =
+        match donor with
+        | Deeppoly.Infeasible -> true
+        | Deeppoly.Feasible a -> (
+            let resumed = Deeppoly.analyze ~reuse:(Deeppoly.prefix a) net ~box ~splits in
+            let cut = Deeppoly.truncate ~layers (Deeppoly.prefix a) in
+            same_deeppoly ~c resumed dp_scratch
+            && same_deeppoly ~c (Deeppoly.analyze ~reuse:cut net ~box ~splits) dp_scratch
+            &&
+            match resumed with
+            | Deeppoly.Feasible again ->
+                same_deeppoly ~c (Deeppoly.analyze ~reuse:(Deeppoly.prefix again) net ~box ~splits) dp_scratch
+            | Deeppoly.Infeasible -> true)
+      in
+      let check_zono donor =
+        match donor with
+        | Zonotope.Infeasible -> true
+        | Zonotope.Feasible a -> (
+            let resumed = Zonotope.analyze ~reuse:a.Zonotope.prefix ~resumable:true net ~box ~splits in
+            let cut = Zonotope.truncate ~layers a.Zonotope.prefix in
+            same_zonotope resumed zono_scratch
+            && same_zonotope (Zonotope.analyze ~reuse:cut net ~box ~splits) zono_scratch
+            &&
+            match resumed with
+            | Zonotope.Feasible again ->
+                same_zonotope (Zonotope.analyze ~reuse:again.Zonotope.prefix net ~box ~splits) zono_scratch
+            | Zonotope.Infeasible -> true)
+      in
+      check_dp (Deeppoly.analyze net ~box ~splits:donor_splits)
+      && check_dp (Deeppoly.analyze other_net ~box ~splits:donor_splits)
+      && check_dp (Deeppoly.analyze net ~box:other_box ~splits:donor_splits)
+      && check_zono (Zonotope.analyze ~resumable:true net ~box ~splits:donor_splits)
+      && check_zono (Zonotope.analyze ~resumable:true other_net ~box ~splits:donor_splits)
+      && check_zono (Zonotope.analyze ~resumable:true net ~box:other_box ~splits:donor_splits))
+
+let test_first_difference () =
+  let r l i = Relu_id.make ~layer:l ~index:i in
+  let s pairs = List.fold_left (fun acc (id, p) -> Splits.add id p acc) Splits.empty pairs in
+  let a = s [ (r 0 1, Splits.Pos); (r 2 0, Splits.Neg) ] in
+  Alcotest.(check (option int)) "equal" None
+    (Splits.first_difference a (s [ (r 2 0, Splits.Neg); (r 0 1, Splits.Pos) ]));
+  Alcotest.(check (option int)) "child" (Some 1) (Splits.first_difference a (Splits.add (r 1 3) Splits.Neg a));
+  Alcotest.(check (option int)) "sibling" (Some 2)
+    (Splits.first_difference a (s [ (r 0 1, Splits.Pos); (r 2 0, Splits.Pos) ]));
+  Alcotest.(check (option int)) "missing" (Some 0) (Splits.first_difference a (s [ (r 2 0, Splits.Neg) ]));
+  Alcotest.(check (option int)) "empty" (Some 0) (Splits.first_difference Splits.empty a)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     ("itv ops", `Quick, test_itv_ops);
     ("itv invalid", `Quick, test_itv_invalid);
     ("splits basic", `Quick, test_splits_basic);
+    ("splits first difference", `Quick, test_first_difference);
     ("interval sound", `Quick, test_interval_sound);
     ("zonotope sound", `Quick, test_zonotope_sound);
     ("deeppoly sound", `Quick, test_deeppoly_sound);
@@ -440,6 +653,7 @@ let suite =
     ("zonotope relu terms", `Quick, test_zonotope_relu_terms);
     ("degenerate box", `Quick, test_degenerate_box);
     q prop_domains_sound_random;
+    q prop_resume_bit_identical;
     ("diff identical networks", `Quick, test_diff_identical_networks);
     ("diff sound", `Quick, test_diff_sound);
     ("diff shape mismatch", `Quick, test_diff_shape_mismatch);

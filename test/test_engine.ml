@@ -416,6 +416,107 @@ let test_best_first_trace_consistent () =
   Alcotest.(check int) "max frontier" run.Bab.stats.Bab.max_frontier agg.Trace.max_frontier;
   Alcotest.(check int) "max depth" run.Bab.stats.Bab.max_depth agg.Trace.max_depth
 
+(* ------------------------------------------------------------------ *)
+(* Incremental node analysis: hints only save work *)
+
+(* A random three-hidden-layer ReLU net and a tight property on it, so
+   runs branch on ReLUs of several layers. *)
+let branching_instance seed =
+  let net = Fixtures.random_net ~seed ~dims:[ 3; 8; 8; 8; 1 ] in
+  let input = Box.make ~lo:(Vec.zeros 3) ~hi:(Vec.create 3 1.0) in
+  let probe = Prop.make ~name:"probe" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0 in
+  let offset = 0.02 -. Fixtures.approx_min_margin ~seed net probe in
+  (net, Prop.make ~name:"tight" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset)
+
+(* [lp] with the domain prefixes of every hint dropped: each node's
+   DeepPoly and Zonotope passes start from scratch. *)
+let from_scratch_lp =
+  {
+    lp with
+    Analyzer.run =
+      (fun ?(hint = Analyzer.no_hint) -> lp.Analyzer.run ~hint:{ hint with deeppoly = None; zonotope = None });
+  }
+
+(* [lp], counting into [resumable] the calls offered a DeepPoly donor. *)
+let counting_lp resumable =
+  {
+    lp with
+    Analyzer.run =
+      (fun ?(hint = Analyzer.no_hint) ->
+        if Option.is_some hint.Analyzer.deeppoly then incr resumable;
+        lp.Analyzer.run ~hint);
+  }
+
+let lb_bits run =
+  let acc = ref [] in
+  Tree.iter_nodes run.Bab.tree (fun n -> acc := Int64.bits_of_float (Tree.lb n) :: !acc);
+  List.rev !acc
+
+let untimed (s : Bab.stats) = { s with Bab.elapsed_seconds = 0.0; analyzer_seconds = 0.0 }
+
+let check_same_run label (a : Bab.run) (b : Bab.run) =
+  Alcotest.(check bool) (label ^ ": verdict") true (a.Bab.verdict = b.Bab.verdict);
+  Alcotest.(check string) (label ^ ": tree") (Tree.to_string a.Bab.tree) (Tree.to_string b.Bab.tree);
+  Alcotest.(check (list int64)) (label ^ ": lb bits") (lb_bits a) (lb_bits b);
+  Alcotest.(check bool) (label ^ ": stats") true (untimed a.Bab.stats = untimed b.Bab.stats)
+
+let test_prefix_reuse_changes_nothing () =
+  List.iter
+    (fun seed ->
+      let net, prop = branching_instance seed in
+      let budget = { Bab.max_analyzer_calls = 150; max_seconds = infinity } in
+      let verify ?initial_tree ~analyzer ~strategy () =
+        Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~strategy ~budget ?initial_tree ~net ~prop ()
+      in
+      let resumable = ref 0 in
+      let first = ref None in
+      List.iter
+        (fun strategy ->
+          let label = Printf.sprintf "seed %d %s" seed (Frontier.strategy_name strategy) in
+          let scratch = verify ~analyzer:from_scratch_lp ~strategy () in
+          let resumed = verify ~analyzer:(counting_lp resumable) ~strategy () in
+          Alcotest.(check bool) (label ^ ": branches") true (scratch.Bab.stats.Bab.branchings >= 3);
+          check_same_run label scratch resumed;
+          if Option.is_none !first then first := Some resumed)
+        Frontier.all_strategies;
+      (* IVAN: the updated network re-verified from the original run's
+         tree, whose leaves have no analyzed parent in this run. *)
+      let updated = Network.map_weights (fun w -> w *. 1.01) net in
+      let initial_tree = (Option.get !first).Bab.tree in
+      let reverify analyzer =
+        Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget ~initial_tree ~net:updated ~prop ()
+      in
+      check_same_run (Printf.sprintf "seed %d initial tree" seed) (reverify from_scratch_lp)
+        (reverify (counting_lp resumable));
+      Alcotest.(check bool) (Printf.sprintf "seed %d resumed nodes" seed) true (!resumable > 0))
+    [ 3; 11; 29 ]
+
+(* A journal carries no hints, so a resumed run restarts its domain
+   analyses from the previous node's (or from scratch) and must still
+   end on the uninterrupted run's tree and bounds.  LP bases are dropped
+   on both sides: a cold and a warm solve of the same LP may differ in
+   the last bits of the objective. *)
+let test_journal_resume_without_prefixes () =
+  let net, prop = branching_instance 11 in
+  let budget = { Bab.max_analyzer_calls = 150; max_seconds = infinity } in
+  let lp = Fixtures.cold lp in
+  let create () = Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~budget ~net ~prop () in
+  let golden = Engine.run (create ()) in
+  let engine = create () in
+  for _ = 1 to golden.Bab.stats.Bab.analyzer_calls / 2 do
+    ignore (Engine.step engine)
+  done;
+  match
+    Engine.resume_journal ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
+      (Engine.compacted_journal engine)
+  with
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
+  | Ok (resumed, _) ->
+      let run = Engine.run resumed in
+      Alcotest.(check bool) "verdict" true (golden.Bab.verdict = run.Bab.verdict);
+      Alcotest.(check string) "tree" (Tree.to_string golden.Bab.tree) (Tree.to_string run.Bab.tree);
+      Alcotest.(check (list int64)) "lb bits" (lb_bits golden) (lb_bits run)
+
 let suite =
   [
     ("golden: fifo matches seed loop", `Quick, test_golden_fifo_matches_seed);
@@ -437,4 +538,6 @@ let suite =
     ("ring capacity", `Quick, test_ring_capacity);
     ("tee and hook", `Quick, test_tee_and_hook);
     ("best-first trace consistent", `Quick, test_best_first_trace_consistent);
+    ("prefix reuse changes nothing", `Quick, test_prefix_reuse_changes_nothing);
+    ("journal resume without prefixes", `Quick, test_journal_resume_without_prefixes);
   ]
