@@ -21,12 +21,13 @@ type lp_report = {
 }
 
 type hint = {
+  encoding : Encoding.Triangle.t option;
   basis : Lp.Basis.t option;
   deeppoly : Deeppoly.prefix option;
   zonotope : Zonotope.prefix option;
 }
 
-let no_hint = { basis = None; deeppoly = None; zonotope = None }
+let no_hint = { encoding = None; basis = None; deeppoly = None; zonotope = None }
 
 let for_children ~split h =
   match split with
@@ -150,28 +151,6 @@ let deeppoly_run net ~prop ~box ~splits =
 let deeppoly () = hintless "deeppoly" deeppoly_run
 
 (* ------------------------------------------------------------------ *)
-(* Persistent triangle-encoding cache.
-
-   One encoding per (network, property) pair, rebuilt only when either
-   changes — detected by physical equality, which is exactly right for
-   the BaB engine (it holds one network and one property for a whole
-   run and calls the analyzer once per node).  Per-domain so parallel
-   runner workers each hold their own. *)
-
-type tri_cache = { t_net : Network.t; t_prop : Prop.t; t_enc : Encoding.Triangle.t option }
-
-let tri_slot : tri_cache option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let triangle_encoding net prop =
-  let slot = Domain.DLS.get tri_slot in
-  match !slot with
-  | Some c when c.t_net == net && c.t_prop == prop -> c.t_enc
-  | _ ->
-      let enc = Encoding.Triangle.build net ~prop in
-      slot := Some { t_net = net; t_prop = prop; t_enc = enc };
-      enc
-
-(* ------------------------------------------------------------------ *)
 (* LP analyzer with triangle relaxation *)
 
 (* Freeze the LP and pair it with the solver's multipliers, right after
@@ -191,6 +170,7 @@ let evidence_of lp ~const =
         }
 
 let lp_triangle_run ~deeppoly_shortcut ~certify ?(hint = no_hint) net ~prop ~box ~splits =
+  let vacuous = { vacuous with hint = { no_hint with encoding = hint.encoding } } in
   match Deeppoly.analyze ?reuse:hint.deeppoly net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
@@ -204,6 +184,7 @@ let lp_triangle_run ~deeppoly_shortcut ~certify ?(hint = no_hint) net ~prop ~box
       let handed =
         {
           no_hint with
+          encoding = hint.encoding;
           deeppoly = Some (Deeppoly.prefix dp);
           zonotope = Option.map (fun a -> a.Zonotope.prefix) zono;
         }
@@ -218,41 +199,52 @@ let lp_triangle_run ~deeppoly_shortcut ~certify ?(hint = no_hint) net ~prop ~box
       let cheap = { unknown with bounds = Some bounds; zono; hint = handed } in
       if deeppoly_shortcut && cheap_lb >= 0.0 then { cheap with status = Verified; lb = cheap_lb }
       else
-        (* Specialize the persistent per-property encoding to this node;
-           fall back to a fresh one-shot LP when the node is outside the
-           encoding's shape (e.g. a split on a root-stable unit when
-           replaying a specification tree against an updated network). *)
-        let lp, const, reusable =
-          match triangle_encoding net prop with
-          | Some enc -> (
+        (* The property's encoding comes with the hint, together with
+           the basis it belongs to; the first node that needs an LP
+           builds it. *)
+        let encoding, basis =
+          match hint.encoding with
+          | Some e when Encoding.Triangle.encodes e net ~prop -> (Some e, hint.basis)
+          | _ -> (Encoding.Triangle.build net ~prop, None)
+        in
+        let cheap = { cheap with hint = { handed with encoding } } in
+        (* Specialize the property's encoding to this node, or lay the
+           node out alone when it is outside the encoding's shape (e.g.
+           a split on a root-stable unit when replaying a specification
+           tree against an updated network). *)
+        let alone () =
+          let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
+          (lp, const, false)
+        in
+        let node_lp () =
+          match encoding with
+          | Some e -> (
               try
-                Encoding.Triangle.specialize enc ~box ~splits ~bounds;
-                (Encoding.Triangle.lp enc, Encoding.Triangle.const enc, true)
-              with Encoding.Mismatch ->
-                let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
-                (lp, const, false))
-          | None ->
-              let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
-              (lp, const, false)
+                Encoding.Triangle.specialize e ~box ~splits ~bounds;
+                (Encoding.Triangle.lp e, Encoding.Triangle.const e, true)
+              with Encoding.Mismatch -> alone ())
+          | None -> alone ()
         in
         let solved =
           try
+            let lp, const, shared = node_lp () in
             `Result
-              (match hint.basis with
-              | Some b when reusable -> Lp.solve_from lp b
-              | _ -> Lp.solve lp)
-          with Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
+              ( lp,
+                const,
+                shared,
+                match basis with Some b when shared -> Lp.solve_from lp b | _ -> Lp.solve lp )
+          with Lp.Iteration_limit | Lp.Numerical_failure _ | Encoding.Mismatch -> `Solver_failed
         in
         match solved with
         | `Solver_failed ->
             (* Numerical failure: fall back on the sound cheap bound. *)
             let status = if cheap_lb >= 0.0 then Verified else Unknown in
             { cheap with status; lb = cheap_lb }
-        | `Result r -> (
-            (* Only a persistent-encoding basis fits a child node: a
-               one-shot LP's basis fits no other problem. *)
-            let basis = if reusable then Lp.basis lp else None in
-            let lp_done = { cheap with lp = lp_report_of lp; hint = { handed with basis } } in
+        | `Result (lp, const, shared, r) -> (
+            (* Only the property's encoding is handed on, so only its
+               basis is. *)
+            let basis = if shared then Lp.basis lp else None in
+            let lp_done = { cheap with lp = lp_report_of lp; hint = { cheap.hint with basis } } in
             let cert = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
@@ -399,8 +391,10 @@ let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy prim
     (* Try one analyzer with up to [max_retries] re-attempts.  The
        timeout is cooperative: analyzers are not preempted mid-call, but
        no further attempt starts past the deadline.  Only the first
-       attempt of the primary sees the basis hint: a retry runs cold
-       rather than re-use a hint that may have caused the failure. *)
+       attempt of the primary sees the whole hint: a retry keeps just
+       its encoding (re-specialized by every node) and runs cold
+       rather than re-use a basis or prefix that may have caused the
+       failure. *)
     let rec attempt ?hint a k =
       let result =
         try `Outcome (a.run ?hint net ~prop ~box ~splits)
@@ -418,7 +412,8 @@ let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy prim
           notify (Absorbed { analyzer = a.name; reason });
           if k < policy.max_retries && not (timed_out ()) then begin
             notify (Retried { analyzer = a.name; attempt = k + 1; reason });
-            attempt a (k + 1)
+            let hint = Option.map (fun h -> { no_hint with encoding = h.encoding }) hint in
+            attempt ?hint a (k + 1)
           end
           else `Failed reason
     in

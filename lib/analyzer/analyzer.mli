@@ -7,13 +7,18 @@
     [Counterexample x] implies [x] lies in the property's input region
     and concretely violates [psi].
 
-    Three analyzers are provided:
+    Five analyzers are provided:
     - {!lp_triangle}: DeepPoly bounds + LP with the triangle relaxation —
       the paper's baseline for ReLU-splitting BaB [Bunel et al. 2020;
       Ehlers 2017], with GUROBI replaced by {!Ivan_lp.Lp}.
     - {!zonotope}: DeepZ affine forms — the bounding engine of the
       RefineZono-style input-splitting baseline (paper §6.4).
-    - {!interval}: plain box propagation, mainly for tests. *)
+    - {!deeppoly}: DeepPoly bounds without the LP pass — the middle rung
+      of the {!with_fallback} degradation ladder.
+    - {!interval}: plain box propagation — the last rung of that ladder,
+      and handy in tests.
+    - {!milp_exact}: the exact big-M MILP, deciding a subproblem in one
+      call (paper §7's one-shot comparison). *)
 
 type status = Verified | Counterexample of Ivan_tensor.Vec.t | Unknown
 
@@ -26,18 +31,27 @@ type lp_report = {
 (** The LP work of one analyzer call. *)
 
 type hint = {
+  encoding : Encoding.Triangle.t option;
+      (** the property's triangle LP encoding, built by the first node
+          of a run that needed an LP and handed on by every later
+          {!lp_triangle} outcome; used only by a node of the same
+          network and property (compared physically) *)
   basis : Ivan_lp.Lp.Basis.t option;
-      (** an optimal simplex basis to warm-start the node LP from;
-          [None] when the solve used a one-shot (non-reusable) encoding
-          or did not end [Optimal] *)
+      (** an optimal simplex basis of [encoding] to warm-start the node
+          LP from; [None] when the node was laid out alone (outside the
+          encoding's shape), solved no LP, or did not end [Optimal] *)
   deeppoly : Ivan_domains.Deeppoly.prefix option;  (** a donor DeepPoly prefix *)
   zonotope : Ivan_domains.Zonotope.prefix option;  (** a donor Zonotope prefix *)
 }
-(** What one node hands on to the analysis of another: its LP basis and
-    its domain analyses, from which {!Ivan_domains.Deeppoly.analyze} and
-    {!Ivan_domains.Zonotope.analyze} resume at the first layer whose
-    splits differ.  A hint is only ever a shortcut: any hint, or none,
-    yields the same outcome up to LP warm-start counters. *)
+(** What one node hands on to the analysis of another: the property's
+    LP encoding with its basis, and its domain analyses, from which
+    {!Ivan_domains.Deeppoly.analyze} and {!Ivan_domains.Zonotope.analyze}
+    resume at the first layer whose splits differ.  It is the only way
+    an encoding reaches a node: the library keeps no cache.  A caller
+    that runs an analyzer repeatedly on one property threads the hint
+    from call to call (the BaB engine does); a call without one builds
+    its own encoding.  A hint is only ever a shortcut: any hint, or
+    none, yields the same outcome up to LP warm-start counters. *)
 
 val no_hint : hint
 (** The hint that offers nothing. *)
@@ -113,13 +127,18 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?certify:bool -> unit -> t
     LP, so it costs extra time and memory — the [--certify] bench suite
     quantifies it.  Verdicts and bounds are unchanged.
 
-    Node LPs come from a persistent per-(network, property) encoding
-    ({!Encoding.Triangle}) specialized in place per subproblem.  A
-    [hint] basis warm-starts the simplex ({!Ivan_lp.Lp.solve_from});
-    without one the node LP is solved cold ({!Ivan_lp.Lp.solve}).  Both
-    entry points solve the identical specialized LP, so a run whose
-    hint bases are dropped has the same verdicts and bounds — that is
-    how a cold run is expressed. *)
+    Node LPs come from the property's encoding ({!Encoding.Triangle})
+    specialized in place per subproblem: the [hint]'s when it was built
+    for this network and property, otherwise one built on the first
+    node that needs an LP.  Every outcome hands the encoding on in its
+    [hint], and an LP-solving one its basis too.  A node the encoding
+    cannot express is laid out alone ({!Encoding.build_lp}) and hands on
+    no basis; if even that layout fails, the node gets the cheap bound
+    as on a solver failure.  A [hint] basis warm-starts the simplex
+    ({!Ivan_lp.Lp.solve_from}); without one the node LP is solved cold
+    ({!Ivan_lp.Lp.solve}).  Both entry points solve the identical
+    specialized LP, so a run whose hint bases are dropped has the same
+    verdicts and bounds — that is how a cold run is expressed. *)
 
 val zonotope : unit -> t
 (** The input-splitting analyzer: its nodes all have boxes of their own,

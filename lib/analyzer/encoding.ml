@@ -40,10 +40,16 @@ let sparse_arrays coeffs =
     coeffs;
   (idx, cf)
 
-(* Count the extra LP variables needed: one per ambiguous piecewise
-   unit, and one error variable per smooth unit. *)
-let count_extra_vars net bounds ~splits =
-  let layers = Network.layers net in
+(* A piecewise unit is stable under [bounds] when they fix its phase;
+   an unstable one (ambiguous, or with NaN bounds) needs an LP
+   variable. *)
+let stable bounds li idx =
+  let b = bounds.Bounds.layers.(li) in
+  b.Bounds.pre_lo.(idx) >= 0.0 || b.Bounds.pre_hi.(idx) <= 0.0
+
+(* Count the extra LP variables needed: one per piecewise unit
+   [encoded li idx] selects, and one error variable per smooth unit. *)
+let count_extra_vars net ~encoded =
   let total = ref 0 in
   Array.iteri
     (fun li layer ->
@@ -51,16 +57,10 @@ let count_extra_vars net bounds ~splits =
       | Layer.Linear_activation -> ()
       | Layer.Smooth _ -> total := !total + Layer.output_dim layer
       | Layer.Piecewise _ ->
-          let b = bounds.Bounds.layers.(li) in
-          for idx = 0 to Ivan_tensor.Vec.dim b.Bounds.pre_lo - 1 do
-            let r = Relu_id.make ~layer:li ~index:idx in
-            if
-              b.Bounds.pre_lo.(idx) < 0.0
-              && b.Bounds.pre_hi.(idx) > 0.0
-              && not (Splits.mem r splits)
-            then incr total
+          for idx = 0 to Layer.output_dim layer - 1 do
+            if encoded li idx then incr total
           done)
-    layers;
+    (Network.layers net);
   !total
 
 (* Affine image of per-neuron expressions under (w, b).  Hot path:
@@ -117,110 +117,15 @@ let var_expr nvars v =
 let scale_expr s e = { coeffs = Array.map (fun c -> s *. c) e.coeffs; const = s *. e.const }
 
 (* ------------------------------------------------------------------ *)
-(* Legacy one-shot builders: a fresh LP per subproblem.  Kept as the
-   fallback for subproblems the persistent encodings cannot express
-   (splits on units that are stable at the property root — possible
-   when a specification tree built for one network is replayed on an
-   update with different root bounds). *)
-
-let build_lp net ~prop ~box ~splits ~bounds =
-  let d = Box.dim box in
-  let nvars = d + count_extra_vars net bounds ~splits in
-  let lp = Lp.create nvars in
-  for j = 0 to d - 1 do
-    Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-  done;
-  let next_var = ref d in
-  let exprs = ref (input_exprs nvars d) in
-  let layers = Network.layers net in
-  Array.iteri
-    (fun li layer ->
-      let w, b = Layer.dense_affine layer in
-      let pre = affine_exprs nvars w b !exprs in
-      let dim = Array.length pre in
-      match Layer.classify (Layer.activation layer) with
-      | Layer.Linear_activation -> exprs := pre
-      | Layer.Smooth { f; df } ->
-          (* post = lambda*pre + e with e a fresh variable bounded by
-             the parallel-line sandwich (no extra rows needed). *)
-          let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-          let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-          let post =
-            Array.init dim (fun idx ->
-                let e = pre.(idx) in
-                let l = lb.(idx) and u = ub.(idx) in
-                let lambda = Float.min (df l) (df u) in
-                let g_lo = f l -. (lambda *. l) and g_hi = f u -. (lambda *. u) in
-                let v = !next_var in
-                incr next_var;
-                Lp.set_bounds lp v g_lo g_hi;
-                let coeffs = Array.map (fun c -> lambda *. c) e.coeffs in
-                coeffs.(v) <- coeffs.(v) +. 1.0;
-                { coeffs; const = lambda *. e.const })
-          in
-          exprs := post
-      | Layer.Piecewise slope ->
-          let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-          let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-          let post =
-            Array.init dim (fun idx ->
-                let e = pre.(idx) in
-                let phase = Splits.find (Relu_id.make ~layer:li ~index:idx) splits in
-                match phase with
-                | Some Splits.Pos ->
-                    (* assume pre >= 0: -(pre) <= 0; the unit is exactly
-                       the identity on this side. *)
-                    Lp.add_constraint lp
-                      (sparse_terms (Array.map (fun v -> -.v) e.coeffs))
-                      Lp.Le e.const;
-                    e
-                | Some Splits.Neg ->
-                    (* assume pre <= 0; the unit is exactly y = slope*x
-                       (the zero function for ReLU). *)
-                    Lp.add_constraint lp (sparse_terms e.coeffs) Lp.Le (-.e.const);
-                    scale_expr slope e
-                | None ->
-                    if lb.(idx) >= 0.0 then e
-                    else if ub.(idx) <= 0.0 then scale_expr slope e
-                    else begin
-                      (* Triangle relaxation with a fresh variable v:
-                         v >= pre, v >= slope*pre, and v below the chord
-                         through (l, slope*l) and (u, u). *)
-                      let v = !next_var in
-                      incr next_var;
-                      let l = lb.(idx) and u = ub.(idx) in
-                      Lp.set_bounds lp v (slope *. l) u;
-                      (* v >= pre:  pre - v <= 0 *)
-                      Lp.add_constraint lp ((v, -1.0) :: sparse_terms e.coeffs) Lp.Le (-.e.const);
-                      (* v >= slope*pre (vacuous for ReLU: covered by
-                         the variable's lower bound of 0). *)
-                      if slope > 0.0 then
-                        Lp.add_constraint lp
-                          ((v, -1.0) :: sparse_terms (Array.map (fun c -> slope *. c) e.coeffs))
-                          Lp.Le (-.slope *. e.const);
-                      (* chord: v <= lambda*pre + mu, with
-                         lambda = (u - slope*l)/(u - l) and
-                         mu = l*(slope - lambda). *)
-                      let lambda = (u -. (slope *. l)) /. (u -. l) in
-                      let mu = l *. (slope -. lambda) in
-                      let chord = Array.map (fun cv -> -.lambda *. cv) e.coeffs in
-                      Lp.add_constraint lp
-                        ((v, 1.0) :: sparse_terms chord)
-                        Lp.Le (mu +. (lambda *. e.const));
-                      let coeffs = Array.make nvars 0.0 in
-                      coeffs.(v) <- 1.0;
-                      { coeffs; const = 0.0 }
-                    end)
-          in
-          exprs := post)
-    layers;
-  let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-  Lp.set_objective lp obj;
-  (lp, const)
+(* One-shot big-M MILP: one call decides a subproblem, so there is
+   nothing to persist across calls. *)
 
 let build_milp net ~prop ~box ~splits ~bounds =
   let d = Box.dim box in
-  let ambiguous = count_extra_vars net bounds ~splits in
+  let ambiguous =
+    count_extra_vars net ~encoded:(fun li idx ->
+        (not (stable bounds li idx)) && not (Splits.mem (Relu_id.make ~layer:li ~index:idx) splits))
+  in
   (* Inputs, then (v, z) pairs per ambiguous ReLU. *)
   let nvars = d + (2 * ambiguous) in
   let lp = Lp.create nvars in
@@ -291,29 +196,30 @@ let build_milp net ~prop ~box ~splits ~bounds =
   (lp, const, List.rev !binaries)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent triangle encoding.
+(* Triangle-relaxation encoding.
 
-   Built ONCE per (network, property) from the root DeepPoly bounds and
-   then specialized per BaB node by mutating only variable bounds and
-   the rows of the affected units — no expression recomputation, no
-   fresh LP.  The key invariant making this possible: stability is
-   monotone under subproblem tightening, so a unit stable at the root
-   stays stable (same phase) at every node and can be substituted away
-   for good, while every root-ambiguous unit gets a permanent LP
-   variable [v] and four permanent row slots whose coefficients are
-   rewritten per node:
+   One layer walker lays out the LP for a (box, splits, bounds) triple:
+   every piecewise unit that is split, or not stable under [bounds],
+   gets a permanent LP variable [v] and four permanent row slots whose
+   coefficients {!Triangle.specialize} rewrites per node:
 
      A:  pre - v <= 0                (v >= pre)
      B:  v - lambda*pre <= mu        (chord / upper equality side)
      C:  slope*pre - v <= 0          (v >= slope*pre)
      D:  +/- pre <= 0                (the node's split assumption)
 
-   Unused slots become vacuous all-zero rows.  The per-node row/bound
-   table below reproduces the legacy per-node polytope exactly (same
-   feasible projection, hence the same optimum), so switching between
-   the persistent and legacy builders never changes a verdict.  The
-   fixed shape is also what makes warm starts work: a parent's
-   {!Lp.Basis.t} maps 1:1 onto every child's problem. *)
+   and every other piecewise unit is substituted away by its stable
+   phase.  Unused slots become vacuous all-zero rows.
+
+   Laid out once per (network, property) from the root DeepPoly bounds,
+   the encoding is then specialized per BaB node by mutating only
+   variable bounds and the rows of the affected units — no expression
+   recomputation, no fresh LP.  This works because stability is
+   monotone under subproblem tightening: a unit stable at the root
+   stays stable (same phase) at every node.  The fixed shape is also
+   what makes warm starts work: a parent's {!Lp.Basis.t} maps 1:1 onto
+   every child's problem.  A node the root layout cannot express is
+   laid out alone ({!build_lp}). *)
 
 type punit = {
   var : int;
@@ -350,6 +256,8 @@ type sunit = {
 
 module Triangle = struct
   type t = {
+    net : Network.t;
+    prop : Prop.t;
     lp : Lp.problem;
     const : float;
     d : int;
@@ -362,108 +270,116 @@ module Triangle = struct
 
   let const t = t.const
 
+  (* The layer walker: lay out the encoding of every unit that is
+     split or not stable under [bounds]. *)
+  let layout net ~prop ~box ~splits ~bounds =
+    let d = Box.dim box in
+    let gets_var li idx =
+      (not (stable bounds li idx)) || Splits.mem (Relu_id.make ~layer:li ~index:idx) splits
+    in
+    let nvars = d + count_extra_vars net ~encoded:gets_var in
+    let lp = Lp.create nvars in
+    for j = 0 to d - 1 do
+      Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
+    done;
+    let next_var = ref d in
+    let punits = ref [] in
+    let sunits = ref [] in
+    let exprs = ref (input_exprs nvars d) in
+    let layers = Network.layers net in
+    Array.iteri
+      (fun li layer ->
+        let w, b = Layer.dense_affine layer in
+        let pre = affine_exprs nvars w b !exprs in
+        let dim = Array.length pre in
+        match Layer.classify (Layer.activation layer) with
+        | Layer.Linear_activation -> exprs := pre
+        | Layer.Smooth { f; df } ->
+            let post =
+              Array.init dim (fun idx ->
+                  let e = pre.(idx) in
+                  let v = !next_var in
+                  incr next_var;
+                  let pre_idx, pre_cf = sparse_arrays e.coeffs in
+                  let svrow_idx = Array.append [| v |] pre_idx in
+                  let row_hi = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+                  let row_lo = Lp.add_row lp [||] [||] Lp.Ge 0.0 in
+                  sunits :=
+                    {
+                      svar = v;
+                      sli = li;
+                      sidx = idx;
+                      sf = f;
+                      sdf = df;
+                      spre_const = e.const;
+                      spre_idx = pre_idx;
+                      spre_cf = pre_cf;
+                      row_hi;
+                      row_lo;
+                      svrow_idx;
+                      sscratch = Array.make (Array.length svrow_idx) 0.0;
+                    }
+                    :: !sunits;
+                  var_expr nvars v)
+            in
+            exprs := post
+        | Layer.Piecewise slope ->
+            let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
+            let post =
+              Array.init dim (fun idx ->
+                  let e = pre.(idx) in
+                  if not (gets_var li idx) then
+                    if lb.(idx) >= 0.0 then e else scale_expr slope e
+                  else begin
+                    let v = !next_var in
+                    incr next_var;
+                    let pre_idx, pre_cf = sparse_arrays e.coeffs in
+                    let vrow_idx = Array.append [| v |] pre_idx in
+                    let row_a = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+                    let row_b = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+                    let row_c = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+                    let row_d = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+                    punits :=
+                      {
+                        var = v;
+                        relu = Relu_id.make ~layer:li ~index:idx;
+                        li;
+                        idx;
+                        slope;
+                        pre_const = e.const;
+                        pre_idx;
+                        pre_cf;
+                        row_a;
+                        row_b;
+                        row_c;
+                        row_d;
+                        vrow_idx;
+                        scratch = Array.make (Array.length vrow_idx) 0.0;
+                        d_scratch = Array.make (Array.length pre_idx) 0.0;
+                      }
+                      :: !punits;
+                    var_expr nvars v
+                  end)
+            in
+            exprs := post)
+      layers;
+    let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
+    Lp.set_objective lp obj;
+    let punits = Array.of_list (List.rev !punits) in
+    let sunits = Array.of_list (List.rev !sunits) in
+    let encoded =
+      Array.fold_left (fun acc u -> Relu_id.Set.add u.relu acc) Relu_id.Set.empty punits
+    in
+    { net; prop; lp; const; d; punits; sunits; encoded }
+
   let build net ~prop =
     let box = prop.Prop.input in
     match Deeppoly.analyze net ~box ~splits:Splits.empty with
     | Deeppoly.Infeasible -> None
     | Deeppoly.Feasible dp ->
-        let bounds = Deeppoly.bounds dp in
-        let d = Box.dim box in
-        let nvars = d + count_extra_vars net bounds ~splits:Splits.empty in
-        let lp = Lp.create nvars in
-        for j = 0 to d - 1 do
-          Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-        done;
-        let next_var = ref d in
-        let punits = ref [] in
-        let sunits = ref [] in
-        let exprs = ref (input_exprs nvars d) in
-        let layers = Network.layers net in
-        Array.iteri
-          (fun li layer ->
-            let w, b = Layer.dense_affine layer in
-            let pre = affine_exprs nvars w b !exprs in
-            let dim = Array.length pre in
-            match Layer.classify (Layer.activation layer) with
-            | Layer.Linear_activation -> exprs := pre
-            | Layer.Smooth { f; df } ->
-                let post =
-                  Array.init dim (fun idx ->
-                      let e = pre.(idx) in
-                      let v = !next_var in
-                      incr next_var;
-                      let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                      let svrow_idx = Array.append [| v |] pre_idx in
-                      let row_hi = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                      let row_lo = Lp.add_row lp [||] [||] Lp.Ge 0.0 in
-                      sunits :=
-                        {
-                          svar = v;
-                          sli = li;
-                          sidx = idx;
-                          sf = f;
-                          sdf = df;
-                          spre_const = e.const;
-                          spre_idx = pre_idx;
-                          spre_cf = pre_cf;
-                          row_hi;
-                          row_lo;
-                          svrow_idx;
-                          sscratch = Array.make (Array.length svrow_idx) 0.0;
-                        }
-                        :: !sunits;
-                      var_expr nvars v)
-                in
-                exprs := post
-            | Layer.Piecewise slope ->
-                let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-                let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-                let post =
-                  Array.init dim (fun idx ->
-                      let e = pre.(idx) in
-                      if lb.(idx) >= 0.0 then e
-                      else if ub.(idx) <= 0.0 then scale_expr slope e
-                      else begin
-                        let v = !next_var in
-                        incr next_var;
-                        let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                        let vrow_idx = Array.append [| v |] pre_idx in
-                        let row_a = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_b = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_c = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_d = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        punits :=
-                          {
-                            var = v;
-                            relu = Relu_id.make ~layer:li ~index:idx;
-                            li;
-                            idx;
-                            slope;
-                            pre_const = e.const;
-                            pre_idx;
-                            pre_cf;
-                            row_a;
-                            row_b;
-                            row_c;
-                            row_d;
-                            vrow_idx;
-                            scratch = Array.make (Array.length vrow_idx) 0.0;
-                            d_scratch = Array.make (Array.length pre_idx) 0.0;
-                          }
-                          :: !punits;
-                        var_expr nvars v
-                      end)
-                in
-                exprs := post)
-          layers;
-        let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-        Lp.set_objective lp obj;
-        let punits = Array.of_list (List.rev !punits) in
-        let sunits = Array.of_list (List.rev !sunits) in
-        let encoded =
-          Array.fold_left (fun acc u -> Relu_id.Set.add u.relu acc) Relu_id.Set.empty punits
-        in
-        Some { lp; const; d; punits; sunits; encoded }
+        Some (layout net ~prop ~box ~splits:Splits.empty ~bounds:(Deeppoly.bounds dp))
+
+  let encodes t net ~prop = t.net == net && t.prop == prop
 
   (* Write a vacuous all-zero row into a slot (0 <= 0). *)
   let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
@@ -603,3 +519,8 @@ module Triangle = struct
           (hi_p +. Float.max g_lo g_hi))
       t.sunits
 end
+
+let build_lp net ~prop ~box ~splits ~bounds =
+  let t = Triangle.layout net ~prop ~box ~splits ~bounds in
+  Triangle.specialize t ~box ~splits ~bounds;
+  (Triangle.lp t, Triangle.const t)

@@ -109,7 +109,8 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          resumed runs, non-reusable encodings, hint-dropping analyzers) *)
+          resumed runs, nodes laid out outside the property's encoding,
+          hint-dropping analyzers) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time

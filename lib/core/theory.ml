@@ -6,14 +6,23 @@ module Bounds = Ivan_domains.Bounds
 module Analyzer = Ivan_analyzer.Analyzer
 module Tree = Ivan_spectree.Tree
 
-let leaf_outcome ~analyzer net ~prop leaf =
-  let box, splits = Tree.subproblem ~root_box:prop.Prop.input leaf in
-  analyzer.Analyzer.run net ~prop ~box ~splits
+(* The analyzer's outcome on every leaf subproblem, in leaf order and
+   on demand.  Each call gets the previous call's hint without its
+   basis, as the BaB engine gives a node with nothing parked: the
+   property's LP encoding is built once, not once per leaf. *)
+let leaf_outcomes ~analyzer net ~prop tree =
+  let rec from hint leaves () =
+    match leaves with
+    | [] -> Seq.Nil
+    | leaf :: rest ->
+        let box, splits = Tree.subproblem ~root_box:prop.Prop.input leaf in
+        let o = analyzer.Analyzer.run ~hint net ~prop ~box ~splits in
+        Seq.Cons (o, from { o.Analyzer.hint with basis = None } rest)
+  in
+  from Analyzer.no_hint (Tree.leaves tree)
 
 let fold_leaves ~analyzer net ~prop tree ~init ~f =
-  List.fold_left
-    (fun acc leaf -> f acc (leaf_outcome ~analyzer net ~prop leaf))
-    init (Tree.leaves tree)
+  Seq.fold_left f init (leaf_outcomes ~analyzer net ~prop tree)
 
 let leaf_objective_lb ~analyzer net ~prop tree =
   fold_leaves ~analyzer net ~prop tree ~init:infinity ~f:(fun acc outcome ->
@@ -59,9 +68,9 @@ let delta_bound ~analyzer net ~prop tree =
   else Float.abs lb /. (cnorm *. e)
 
 let verified_with_tree ~analyzer net ~prop tree =
-  List.for_all
-    (fun leaf ->
-      match (leaf_outcome ~analyzer net ~prop leaf).Analyzer.status with
+  Seq.for_all
+    (fun o ->
+      match o.Analyzer.status with
       | Analyzer.Verified -> true
       | Analyzer.Counterexample _ | Analyzer.Unknown -> false)
-    (Tree.leaves tree)
+    (leaf_outcomes ~analyzer net ~prop tree)

@@ -164,6 +164,220 @@ let prop_analyzer_never_unsound =
         (analyzers ()))
 
 
+(* ---------------- Triangle LP encoder ---------------- *)
+
+module Encoding = Ivan_analyzer.Encoding
+module Deeppoly = Ivan_domains.Deeppoly
+module Lp = Ivan_lp.Lp
+module Bounds = Ivan_domains.Bounds
+
+let ambiguous_under (b : Bounds.t) (r : Ivan_nn.Relu_id.t) =
+  let l = b.Bounds.layers.(r.layer) in
+  l.Bounds.pre_lo.(r.index) < 0.0 && l.Bounds.pre_hi.(r.index) > 0.0
+
+(* A random small network (ReLU, leaky ReLU, sigmoid or tanh hidden
+   layers), a random input box inside the unit cube, a random
+   objective, and random split sets over its piecewise units: the empty
+   set, sets drawn from the units ambiguous at the property root, and
+   sets drawn from all units, so some split units that are stable at
+   the root. *)
+let random_subproblems seed =
+  let rng = Rng.create seed in
+  let act =
+    Ivan_nn.Layer.[| Relu; Leaky_relu 0.1; Sigmoid; Tanh |].(Rng.int rng 4)
+  in
+  let d = 2 + Rng.int rng 2 and outputs = 1 + Rng.int rng 2 in
+  let dims = [ d; 3 + Rng.int rng 4; 2 + Rng.int rng 4; outputs ] in
+  let net = Ivan_nn.Builder.dense_net_act ~hidden_activation:act ~rng ~dims in
+  let lo = Array.init d (fun _ -> Rng.uniform rng 0.0 0.5) in
+  let hi = Array.map (fun l -> l +. Rng.uniform rng 0.05 0.5) lo in
+  let input = Box.make ~lo ~hi in
+  let c = Array.init outputs (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+  let prop = Prop.make ~name:"enc" ~input ~c ~offset:(Rng.uniform rng (-1.0) 1.0) in
+  let relus = Network.relu_ids net in
+  let ambiguous =
+    match Deeppoly.analyze net ~box:input ~splits:Splits.empty with
+    | Deeppoly.Infeasible -> [||]
+    | Deeppoly.Feasible dp ->
+        Array.of_list (List.filter (ambiguous_under (Deeppoly.bounds dp)) (Array.to_list relus))
+  in
+  let random_splits pool =
+    let n = Array.length pool in
+    List.fold_left
+      (fun acc _ ->
+        let r = pool.(Rng.int rng n) in
+        if Splits.mem r acc then acc
+        else Splits.add r (if Rng.bool rng then Splits.Pos else Splits.Neg) acc)
+      Splits.empty
+      (if n = 0 then [] else List.init (1 + Rng.int rng 3) Fun.id)
+  in
+  let pool i = if i mod 2 = 0 then ambiguous else relus in
+  (net, prop, Splits.empty :: List.init 6 (fun i -> random_splits (pool i)))
+
+(* The node's optimum; [infinity] for an infeasible LP. *)
+let optimum lp ~const =
+  match Lp.solve lp with
+  | Lp.Optimal { objective; _ } -> objective +. const
+  | Lp.Infeasible -> infinity
+  | Lp.Unbounded -> Alcotest.fail "triangle LP unbounded on a bounded box"
+
+let tol x y = 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
+
+(* A node laid out alone ({!Encoding.build_lp}) and the property's root
+   encoding specialized to it: wherever the root encoding can express
+   the node, its optimum is at least the alone one (it also bounds a
+   root-ambiguous unit that is stable at the node by the node's
+   DeepPoly interval, where the alone layout substitutes the unit), and
+   the two are equal when both lay out the same units.  The LP
+   analyzer's bound never falls below DeepPoly's. *)
+let prop_encoders_agree =
+  QCheck.Test.make ~name:"node laid out alone = specialized root encoding" ~count:60
+    QCheck.(make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      let net, prop, split_sets = random_subproblems seed in
+      let box = prop.Prop.input in
+      let lp_analyzer = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+      let root = Encoding.Triangle.build net ~prop in
+      let root_bounds =
+        match Deeppoly.analyze net ~box ~splits:Splits.empty with
+        | Deeppoly.Infeasible -> None
+        | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp)
+      in
+      List.for_all
+        (fun splits ->
+          match Deeppoly.analyze net ~box ~splits with
+          | Deeppoly.Infeasible -> true
+          | Deeppoly.Feasible dp ->
+              let bounds = Deeppoly.bounds dp in
+              let dp_lb = Deeppoly.objective_lo dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
+              let agree =
+                match (root, root_bounds) with
+                | None, _ | _, None -> true
+                | Some enc, Some rb -> (
+                    match Encoding.Triangle.specialize enc ~box ~splits ~bounds with
+                    | exception Encoding.Mismatch -> true
+                    | () ->
+                        let rooted =
+                          optimum (Encoding.Triangle.lp enc) ~const:(Encoding.Triangle.const enc)
+                        in
+                        let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
+                        let alone = optimum lp ~const in
+                        let same_units =
+                          Array.for_all
+                            (fun r ->
+                              ambiguous_under rb r
+                              = (Splits.mem r splits || ambiguous_under bounds r))
+                            (Network.relu_ids net)
+                        in
+                        let close =
+                          rooted = alone || Float.abs (rooted -. alone) <= tol rooted alone
+                        in
+                        (rooted >= alone || close) && ((not same_units) || close))
+              in
+              let o = lp_analyzer.Analyzer.run net ~prop ~box ~splits in
+              agree && o.Analyzer.lb >= dp_lb)
+        split_sets)
+
+(* ---------------- The encoding in the hint ---------------- *)
+
+let relu layer index = Ivan_nn.Relu_id.make ~layer ~index
+
+let splits_of = List.fold_left (fun acc (r, phase) -> Splits.add r phase acc) Splits.empty
+
+(* Calls that thread the hint hand on the physically same encoding,
+   whatever their outcome: an LP solve, the DeepPoly shortcut, an empty
+   region, a solver failure, and a node outside the encoding's shape. *)
+let test_hint_carries_encoding () =
+  let net = Fixtures.paper_net () in
+  (* Minimum margin -0.5 on [0,1]^2: the root needs an LP. *)
+  let prop = Fixtures.paper_prop_with_offset 1.0 in
+  let lp = Analyzer.lp_triangle () in
+  let run ~hint ?(box = prop.Prop.input) splits =
+    lp.Analyzer.run ~hint net ~prop ~box ~splits:(splits_of splits)
+  in
+  let first = run ~hint:Analyzer.no_hint [] in
+  let encoding =
+    match first.Analyzer.hint.Analyzer.encoding with
+    | Some e -> e
+    | None -> Alcotest.fail "an LP-solving call hands on no encoding"
+  in
+  Alcotest.(check bool) "basis handed on" true (Option.is_some first.Analyzer.hint.Analyzer.basis);
+  let hands_on label (o : Analyzer.outcome) =
+    Alcotest.(check bool) (label ^ ": same encoding") true
+      (match o.Analyzer.hint.Analyzer.encoding with Some e -> e == encoding | None -> false);
+    { o.Analyzer.hint with basis = None }
+  in
+  let hint = hands_on "lp" first in
+  (* r[1,1] (x4) is ambiguous at the root; with x4 = 0 the margin is
+     x3 + 1 >= 1, which DeepPoly proves. *)
+  let shortcut = run ~hint [ (relu 1 1, Splits.Neg) ] in
+  Alcotest.(check bool) "shortcut: no LP" true (Option.is_none shortcut.Analyzer.lp);
+  let hint = hands_on "shortcut" shortcut in
+  (* On [0.2,1]^2 the pre-activation of r[0,1] is at least 0.4. *)
+  let box = Box.make ~lo:(Vec.of_list [ 0.2; 0.2 ]) ~hi:(Vec.of_list [ 1.0; 1.0 ]) in
+  let empty = run ~hint ~box [ (relu 0 1, Splits.Neg) ] in
+  Alcotest.(check bool) "vacuous" true (empty.Analyzer.lb = infinity);
+  let hint = hands_on "vacuous" empty in
+  let failed =
+    Lp.set_solve_hook (Some (fun _ -> raise (Lp.Numerical_failure "test")));
+    Fun.protect ~finally:(fun () -> Lp.set_solve_hook None) (fun () -> run ~hint [])
+  in
+  Alcotest.(check bool) "solver failure: no LP report" true (Option.is_none failed.Analyzer.lp);
+  let hint = hands_on "solver failure" failed in
+  (* r[0,1] is stable at the root, so a split on it is outside the
+     encoding's shape: the node is laid out alone and solves an LP
+     whose basis fits no other node. *)
+  let alone = run ~hint [ (relu 0 1, Splits.Pos) ] in
+  Alcotest.(check bool) "mismatch: LP solved" true (Option.is_some alone.Analyzer.lp);
+  Alcotest.(check bool) "mismatch: no basis" true
+    (Option.is_none alone.Analyzer.hint.Analyzer.basis);
+  let hint = hands_on "mismatch" alone in
+  ignore (hands_on "after mismatch" (run ~hint [ (relu 1 0, Splits.Pos) ]))
+
+(* A node the encoding laid out for it alone still cannot express (NaN
+   bounds) raises [Mismatch]. *)
+let test_alone_layout_rejects_nan () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.0 in
+  let box = prop.Prop.input in
+  match Deeppoly.analyze net ~box ~splits:Splits.empty with
+  | Deeppoly.Infeasible -> Alcotest.fail "paper root infeasible"
+  | Deeppoly.Feasible dp ->
+      let bounds = Deeppoly.bounds dp in
+      bounds.Bounds.layers.(1).Bounds.pre_lo.(1) <- nan;
+      Alcotest.check_raises "NaN bounds" Encoding.Mismatch (fun () ->
+          ignore (Encoding.build_lp net ~prop ~box ~splits:Splits.empty ~bounds))
+
+let lb_bits (o : Analyzer.outcome) = Int64.bits_of_float o.Analyzer.lb
+
+(* A hint holding another network's or another property's encoding
+   (with its basis and domain prefixes) is ignored: the same lb bits as
+   no hint. *)
+let test_foreign_encoding_ignored () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.0 in
+  let lp = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let run ?hint net prop splits =
+    lp.Analyzer.run ?hint net ~prop ~box:prop.Prop.input ~splits:(splits_of splits)
+  in
+  let foreign =
+    [
+      ("other property", (run net (Fixtures.paper_prop_with_offset 1.0) []).Analyzer.hint);
+      ( "other network",
+        (run (Network.map_weights (fun w -> w *. 1.1) net) prop []).Analyzer.hint );
+    ]
+  in
+  List.iter
+    (fun (label, hint) ->
+      Alcotest.(check bool) (label ^ ": holds an encoding") true
+        (Option.is_some hint.Analyzer.encoding);
+      List.iter
+        (fun splits ->
+          Alcotest.(check int64) label
+            (lb_bits (run net prop splits))
+            (lb_bits (run ~hint net prop splits)))
+        [ []; [ (relu 1 0, Splits.Pos) ]; [ (relu 1 0, Splits.Neg); (relu 0 0, Splits.Pos) ] ])
+    foreign
 
 (* ---------------- MILP exact analyzer ---------------- *)
 
@@ -339,6 +553,10 @@ let suite =
     ("check concrete", `Quick, test_check_concrete);
     ("lp shortcut consistent", `Quick, test_lp_shortcut_consistent);
     q prop_analyzer_never_unsound;
+    q prop_encoders_agree;
+    ("hint carries encoding", `Quick, test_hint_carries_encoding);
+    ("alone layout rejects nan", `Quick, test_alone_layout_rejects_nan);
+    ("foreign encoding ignored", `Quick, test_foreign_encoding_ignored);
     ("milp exact on paper net", `Quick, test_milp_exact_paper_net);
     ("milp matches bab", `Quick, test_milp_matches_bab);
     ("milp respects splits", `Quick, test_milp_respects_splits);

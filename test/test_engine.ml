@@ -517,6 +517,58 @@ let test_journal_resume_without_prefixes () =
       Alcotest.(check string) "tree" (Tree.to_string golden.Bab.tree) (Tree.to_string run.Bab.tree);
       Alcotest.(check (list int64)) "lb bits" (lb_bits golden) (lb_bits run)
 
+(* The property's LP encoding travels from node to node in the hints:
+   one BaB run builds it once, also on an IVAN re-run whose reused
+   leaves have no analyzed parent, and a run does not leak it into the
+   next. *)
+
+(* [lp], recording every encoding it is offered or hands on. *)
+let recording_lp seen =
+  let note = function
+    | Some e -> if not (List.exists (( == ) e) !seen) then seen := e :: !seen
+    | None -> ()
+  in
+  {
+    lp with
+    Analyzer.run =
+      (fun ?hint net ~prop ~box ~splits ->
+        Option.iter (fun (h : Analyzer.hint) -> note h.Analyzer.encoding) hint;
+        let o = lp.Analyzer.run ?hint net ~prop ~box ~splits in
+        note o.Analyzer.hint.Analyzer.encoding;
+        o);
+  }
+
+let test_one_encoding_per_run () =
+  let net, prop = branching_instance 11 in
+  let budget = { Bab.max_analyzer_calls = 150; max_seconds = infinity } in
+  let seen = ref [] in
+  let run =
+    Bab.verify ~analyzer:(recording_lp seen) ~heuristic:Heuristic.zono_coeff ~budget ~net ~prop ()
+  in
+  Alcotest.(check bool) "branches" true (run.Bab.stats.Bab.branchings >= 3);
+  Alcotest.(check int) "encodings built" 1 (List.length !seen);
+  let updated = Network.map_weights (fun w -> w *. 1.01) net in
+  let reseen = ref [] in
+  ignore
+    (Bab.verify ~analyzer:(recording_lp reseen) ~heuristic:Heuristic.zono_coeff ~budget
+       ~initial_tree:run.Bab.tree ~net:updated ~prop ());
+  Alcotest.(check int) "encodings built on the re-run" 1 (List.length !reseen);
+  Alcotest.(check bool) "re-run builds its own" false (List.memq (List.hd !reseen) !seen)
+
+let test_runs_independent () =
+  let net, prop = branching_instance 29 in
+  let budget = { Bab.max_analyzer_calls = 150; max_seconds = infinity } in
+  let verify strategy () =
+    Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~strategy ~budget ~net ~prop ()
+  in
+  let fifo = verify Frontier.Fifo and best = verify Frontier.Best_first in
+  let fifo1 = fifo () in
+  let best1 = best () in
+  let best2 = best () in
+  let fifo2 = fifo () in
+  check_same_run "fifo then best: fifo" fifo1 fifo2;
+  check_same_run "best then fifo: best" best1 best2
+
 let suite =
   [
     ("golden: fifo matches seed loop", `Quick, test_golden_fifo_matches_seed);
@@ -540,4 +592,6 @@ let suite =
     ("best-first trace consistent", `Quick, test_best_first_trace_consistent);
     ("prefix reuse changes nothing", `Quick, test_prefix_reuse_changes_nothing);
     ("journal resume without prefixes", `Quick, test_journal_resume_without_prefixes);
+    ("one encoding per run", `Quick, test_one_encoding_per_run);
+    ("runs independent", `Quick, test_runs_independent);
   ]
