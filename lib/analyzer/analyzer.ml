@@ -123,10 +123,11 @@ let zonotope_run net ~prop ~box ~splits =
   match Zonotope.analyze net ~box ~splits with
   | Zonotope.Infeasible -> vacuous
   | Zonotope.Feasible a ->
-      let itv = Zonotope.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset in
+      let coeffs = Zonotope.objective_coeffs a ~c:prop.Prop.c in
+      let itv = Zonotope.objective_itv_from_coeffs a coeffs ~c:prop.Prop.c ~offset:prop.Prop.offset in
       let status =
         if itv.Itv.lo >= 0.0 then Verified
-        else concrete_status net ~prop (Zonotope.minimizing_input a ~c:prop.Prop.c)
+        else concrete_status net ~prop (Zonotope.minimizing_input_from_coeffs a coeffs)
       in
       { unknown with status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a }
 

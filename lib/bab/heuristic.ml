@@ -92,14 +92,24 @@ let input_widest =
   }
 
 (* Accumulated absolute influence of each input dimension on the
-   objective: |c|^T |W_L| ... |W_1| computed by backward sweeps. *)
+   objective: |c|^T |W_L| ... |W_1| computed by backward sweeps, each
+   the transposed product |W|^T acc summed row by row, with the
+   absolute value taken on the fly instead of in a copy of W. *)
 let influence net c =
   let count = Network.num_layers net in
   let acc = ref (Vec.map Float.abs c) in
   for li = count - 1 downto 0 do
     let w, _ = Network.layer_dense net li in
-    let absw = Mat.map Float.abs w in
-    acc := Mat.matvec_t absw !acc
+    let y = Array.make (Mat.cols w) 0.0 in
+    Array.iteri
+      (fun i row ->
+        let xi = !acc.(i) in
+        if xi <> 0.0 then
+          for j = 0 to Array.length row - 1 do
+            y.(j) <- y.(j) +. (Float.abs row.(j) *. xi)
+          done)
+      (Mat.row_arrays w);
+    acc := y
   done;
   !acc
 

@@ -28,7 +28,8 @@ exception Empty_region
 (* One back-substitution step: rewrite the expression rows (w, c) over
    layer [k]'s posts into rows over layer [k-1]'s posts using layer
    [k]'s symbolic bounds.  [lower] selects which bound a positive
-   coefficient takes. *)
+   coefficient takes.  The rows of [w'] start at [+0.] and only receive
+   additions, so {!Vec.axpy} needs no zero test per entry. *)
 let step ~lower sym w c =
   let rows = Array.length w in
   let inner = Array.length sym.lw in
@@ -45,10 +46,7 @@ let step ~lower sym w c =
         let srow = if take_lower then sym.lw.(j) else sym.uw.(j) in
         let sconst = if take_lower then sym.lconst.(j) else sym.uconst.(j) in
         c'.(r) <- c'.(r) +. (coeff *. sconst);
-        for p = 0 to prev - 1 do
-          let s = srow.(p) in
-          if s <> 0.0 then wr'.(p) <- wr'.(p) +. (coeff *. s)
-        done
+        Vec.axpy coeff srow wr'
       end
     done
   done;

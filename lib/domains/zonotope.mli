@@ -62,7 +62,11 @@ val objective_itv : analysis -> c:Ivan_tensor.Vec.t -> offset:float -> Itv.t
 val objective_coeffs : analysis -> c:Ivan_tensor.Vec.t -> float array
 (** Noise-term coefficients of the objective [c . Y]; index [t] is the
     coefficient of [eps_t].  Compute once and reuse when scoring many
-    ReLUs. *)
+    ReLUs, or when both bounding and looking for a counterexample. *)
+
+val objective_itv_from_coeffs : analysis -> float array -> c:Ivan_tensor.Vec.t -> offset:float -> Itv.t
+(** Same as {!objective_itv} given precomputed {!objective_coeffs} of
+    the same [c]. *)
 
 val relu_score : analysis -> c:Ivan_tensor.Vec.t -> Ivan_nn.Relu_id.t -> float
 (** Magnitude of the ReLU's noise-term coefficient in the objective;
@@ -74,3 +78,6 @@ val relu_score_from_coeffs : analysis -> float array -> Ivan_nn.Relu_id.t -> flo
 val minimizing_input : analysis -> c:Ivan_tensor.Vec.t -> Ivan_tensor.Vec.t
 (** The corner of the input box that minimizes the input-symbol part of
     the objective — the counterexample candidate. *)
+
+val minimizing_input_from_coeffs : analysis -> float array -> Ivan_tensor.Vec.t
+(** Same as {!minimizing_input} given precomputed {!objective_coeffs}. *)

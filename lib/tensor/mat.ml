@@ -63,28 +63,15 @@ let scale s m = map (fun x -> s *. x) m
 let matvec m x =
   if Array.length x <> m.cols then
     invalid_arg (Printf.sprintf "Mat.matvec: %dx%d with vector of dim %d" m.rows m.cols (Array.length x));
-  let y = Array.make m.rows 0.0 in
-  for i = 0 to m.rows - 1 do
-    let r = m.data.(i) in
-    let acc = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. (r.(j) *. x.(j))
-    done;
-    y.(i) <- !acc
-  done;
-  y
+  Array.map (fun r -> Vec.dot r x) m.data
 
 let matvec_t m x =
   if Array.length x <> m.rows then
     invalid_arg (Printf.sprintf "Mat.matvec_t: %dx%d with vector of dim %d" m.rows m.cols (Array.length x));
   let y = Array.make m.cols 0.0 in
   for i = 0 to m.rows - 1 do
-    let r = m.data.(i) in
     let xi = x.(i) in
-    if xi <> 0.0 then
-      for j = 0 to m.cols - 1 do
-        y.(j) <- y.(j) +. (r.(j) *. xi)
-      done
+    if xi <> 0.0 then Vec.axpy xi m.data.(i) y
   done;
   y
 

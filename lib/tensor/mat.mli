@@ -47,10 +47,14 @@ val scale : float -> t -> t
 val map : (float -> float) -> t -> t
 
 val matvec : t -> Vec.t -> Vec.t
-(** [matvec m x] is [m · x].  @raise Invalid_argument on mismatch. *)
+(** [matvec m x] is [m · x], one {!Vec.dot} per row.
+    @raise Invalid_argument on mismatch. *)
 
 val matvec_t : t -> Vec.t -> Vec.t
-(** [matvec_t m x] is [mᵀ · x] without materializing the transpose. *)
+(** [matvec_t m x] is [mᵀ · x] without materializing the transpose,
+    accumulated row by row with {!Vec.axpy}: rows with [x.(i) = 0.] are
+    skipped, and so are the zero entries of a row whose [x.(i)] is not
+    finite.  @raise Invalid_argument on mismatch. *)
 
 val matmul : t -> t -> t
 

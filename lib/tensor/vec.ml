@@ -32,21 +32,61 @@ let sub a b =
 
 let scale s a = Array.map (fun x -> s *. x) a
 
-let axpy a x y =
-  check_dims "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- (a *. x.(i)) +. y.(i)
-  done
+(* The analyzers' inner kernel.  Without a zero test per entry it is
+   bit-identical to a loop that skips [x.(k) = 0] whenever [a] is
+   finite and [y] holds no [-0.]: the skipped products are then [±0],
+   and adding [±0] to anything but [-0.] changes nothing.  A non-finite
+   [a] would turn those products into NaN, so it takes the skipping
+   loop. *)
+let axpy a (x : t) (y : t) =
+  let n = Array.length x in
+  if n > Array.length y then
+    invalid_arg (Printf.sprintf "Vec.axpy: x longer than y (%d vs %d)" n (Array.length y));
+  if Float.is_finite a then begin
+    let n4 = n - (n land 3) in
+    let k = ref 0 in
+    while !k < n4 do
+      let i = !k in
+      Array.unsafe_set y i (Array.unsafe_get y i +. (a *. Array.unsafe_get x i));
+      Array.unsafe_set y (i + 1) (Array.unsafe_get y (i + 1) +. (a *. Array.unsafe_get x (i + 1)));
+      Array.unsafe_set y (i + 2) (Array.unsafe_get y (i + 2) +. (a *. Array.unsafe_get x (i + 2)));
+      Array.unsafe_set y (i + 3) (Array.unsafe_get y (i + 3) +. (a *. Array.unsafe_get x (i + 3)));
+      k := i + 4
+    done;
+    for i = n4 to n - 1 do
+      Array.unsafe_set y i (Array.unsafe_get y i +. (a *. Array.unsafe_get x i))
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      let xi = Array.unsafe_get x i in
+      if xi <> 0.0 then Array.unsafe_set y i (Array.unsafe_get y i +. (a *. xi))
+    done
 
 let mul a b =
   check_dims "mul" a b;
   Array.init (Array.length a) (fun i -> a.(i) *. b.(i))
 
-let dot a b =
+(* Summed left to right, as a plain loop would: the unrolled body
+   adds its four products to the accumulator one after the other. *)
+let dot (a : t) (b : t) =
   check_dims "dot" a b;
+  let n = Array.length a in
+  let n4 = n - (n land 3) in
   let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
+  let k = ref 0 in
+  while !k < n4 do
+    let i = !k in
+    acc :=
+      !acc
+      +. (Array.unsafe_get a i *. Array.unsafe_get b i)
+      +. (Array.unsafe_get a (i + 1) *. Array.unsafe_get b (i + 1))
+      +. (Array.unsafe_get a (i + 2) *. Array.unsafe_get b (i + 2))
+      +. (Array.unsafe_get a (i + 3) *. Array.unsafe_get b (i + 3));
+    k := i + 4
+  done;
+  for i = n4 to n - 1 do
+    acc := !acc +. (Array.unsafe_get a i *. Array.unsafe_get b i)
   done;
   !acc
 

@@ -33,12 +33,19 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 
 val axpy : float -> t -> t -> unit
-(** [axpy a x y] sets [y <- a*x + y] in place. *)
+(** [axpy a x y] sets [y.(k) <- y.(k) +. a *. x.(k)] in place for every
+    [k < dim x]: [x] may be shorter than [y], and only that prefix of
+    [y] changes.  When [a] is not finite, entries with [x.(k) = 0.] are
+    skipped (their product would be NaN), so a zero entry of [x] never
+    changes [y] unless [y.(k)] is [-0.].
+    @raise Invalid_argument if [x] is longer than [y]. *)
 
 val mul : t -> t -> t
 (** Pointwise (Hadamard) product. *)
 
 val dot : t -> t -> float
+(** [dot a b] sums [a.(i) *. b.(i)] from [i = 0] up, one product at a
+    time.  @raise Invalid_argument on dimension mismatch. *)
 
 val norm2 : t -> float
 (** Euclidean norm. *)

@@ -623,6 +623,338 @@ let prop_resume_bit_identical =
       && check_zono (Zonotope.analyze ~resumable:true other_net ~box ~splits:donor_splits)
       && check_zono (Zonotope.analyze ~resumable:true net ~box:other_box ~splits:donor_splits))
 
+(* ---------------- reference kernels ---------------- *)
+
+(* The analyzers as they were before their inner products went through
+   [Vec.axpy] and before Zonotope stored each fresh noise symbol as one
+   entry of its neuron's row: dense generator rows over all terms, and
+   loops that skip every zero.  From scratch only, no resumption. *)
+module Reference = struct
+  exception Empty_region
+
+  let form_itv center gen =
+    let r = Array.fold_left (fun acc g -> acc +. Float.abs g) 0.0 gen in
+    (center -. r, center +. r)
+
+  let affine_image w b centers gens nterms =
+    let rows = Array.length w in
+    let out_centers = Array.make rows 0.0 in
+    let out_gens = Array.init rows (fun _ -> Array.make nterms 0.0) in
+    for i = 0 to rows - 1 do
+      let wrow = w.(i) in
+      let acc = ref b.(i) in
+      let row_gen = out_gens.(i) in
+      for j = 0 to Array.length wrow - 1 do
+        let wij = wrow.(j) in
+        if wij <> 0.0 then begin
+          acc := !acc +. (wij *. centers.(j));
+          let g = gens.(j) in
+          for t = 0 to nterms - 1 do
+            let gt = g.(t) in
+            if gt <> 0.0 then row_gen.(t) <- row_gen.(t) +. (wij *. gt)
+          done
+        end
+      done;
+      out_centers.(i) <- !acc
+    done;
+    (out_centers, out_gens)
+
+  (* One layer of Zonotope: bounds and post-activation forms. *)
+  let activate layer li splits relu_terms pre_centers pre_gens nterms =
+    let dim = Array.length pre_centers in
+    let pre_lo = Array.make dim 0.0 and pre_hi = Array.make dim 0.0 in
+    for idx = 0 to dim - 1 do
+      let lo, hi = form_itv pre_centers.(idx) pre_gens.(idx) in
+      pre_lo.(idx) <- lo;
+      pre_hi.(idx) <- hi
+    done;
+    let bounds post_lo post_hi = { Bounds.pre_lo; pre_hi; post_lo; post_hi } in
+    match Layer.classify (Layer.activation layer) with
+    | Layer.Linear_activation -> (bounds (Array.copy pre_lo) (Array.copy pre_hi), pre_centers, pre_gens, nterms)
+    | Layer.Smooth { f; df } ->
+        let nterms' = nterms + dim in
+        let centers = Array.make dim 0.0 and gens = Array.init dim (fun _ -> Array.make nterms' 0.0) in
+        let post_lo = Array.make dim 0.0 and post_hi = Array.make dim 0.0 in
+        for idx = 0 to dim - 1 do
+          let l = pre_lo.(idx) and u = pre_hi.(idx) in
+          let lambda = Float.min (df l) (df u) in
+          let g_lo = f l -. (lambda *. l) and g_hi = f u -. (lambda *. u) in
+          centers.(idx) <- (lambda *. pre_centers.(idx)) +. (0.5 *. (g_lo +. g_hi));
+          for t = 0 to nterms - 1 do
+            gens.(idx).(t) <- lambda *. pre_gens.(idx).(t)
+          done;
+          gens.(idx).(nterms + idx) <- 0.5 *. (g_hi -. g_lo);
+          let lo, hi = form_itv centers.(idx) gens.(idx) in
+          post_lo.(idx) <- Float.max lo (f l);
+          post_hi.(idx) <- Float.min hi (f u)
+        done;
+        (bounds post_lo post_hi, centers, gens, nterms')
+    | Layer.Piecewise slope ->
+        let kind = Array.make dim (`Linear 1.0) in
+        let fresh = ref 0 in
+        for idx = 0 to dim - 1 do
+          match Splits.find (Relu_id.make ~layer:li ~index:idx) splits with
+          | Some Splits.Pos ->
+              if pre_hi.(idx) < 0.0 then raise Empty_region;
+              pre_lo.(idx) <- Float.max 0.0 pre_lo.(idx)
+          | Some Splits.Neg ->
+              if pre_lo.(idx) > 0.0 then raise Empty_region;
+              pre_hi.(idx) <- Float.min 0.0 pre_hi.(idx);
+              kind.(idx) <- `Linear slope
+          | None ->
+              if pre_lo.(idx) >= 0.0 then ()
+              else if pre_hi.(idx) <= 0.0 then kind.(idx) <- `Linear slope
+              else begin
+                kind.(idx) <- `Ambiguous !fresh;
+                incr fresh
+              end
+        done;
+        let nterms' = nterms + !fresh in
+        let centers = Array.make dim 0.0 and gens = Array.init dim (fun _ -> Array.make nterms' 0.0) in
+        let post_lo = Array.make dim 0.0 and post_hi = Array.make dim 0.0 in
+        let act v = if v >= 0.0 then v else slope *. v in
+        for idx = 0 to dim - 1 do
+          (match kind.(idx) with
+          | `Linear s ->
+              centers.(idx) <- s *. pre_centers.(idx);
+              for t = 0 to nterms - 1 do
+                gens.(idx).(t) <- s *. pre_gens.(idx).(t)
+              done
+          | `Ambiguous k ->
+              let lb = pre_lo.(idx) and ub = pre_hi.(idx) in
+              let lambda = (ub -. (slope *. lb)) /. (ub -. lb) in
+              let mu = (1.0 -. slope) *. ub *. -.lb /. (ub -. lb) /. 2.0 in
+              centers.(idx) <- (lambda *. pre_centers.(idx)) +. mu;
+              for t = 0 to nterms - 1 do
+                gens.(idx).(t) <- lambda *. pre_gens.(idx).(t)
+              done;
+              gens.(idx).(nterms + k) <- mu;
+              relu_terms := Relu_id.Map.add (Relu_id.make ~layer:li ~index:idx) (nterms + k) !relu_terms);
+          let lo, hi = form_itv centers.(idx) gens.(idx) in
+          post_lo.(idx) <- Float.max lo (act pre_lo.(idx));
+          post_hi.(idx) <- Float.min hi (act pre_hi.(idx))
+        done;
+        (bounds post_lo post_hi, centers, gens, nterms')
+
+  (* [Some (bounds, output centers, output generators, relu terms,
+     nterms)], or [None] for an empty region. *)
+  let zonotope net ~box ~splits =
+    let layers = Network.layers net in
+    let count = Array.length layers in
+    let pre li centers gens nterms =
+      let w, b = Network.layer_dense net li in
+      affine_image (Mat.row_arrays w) b centers gens nterms
+    in
+    let d = Box.dim box in
+    let centers = Array.init d (fun j -> 0.5 *. (Box.lo_at box j +. Box.hi_at box j)) in
+    let gens = Array.init d (fun j -> Array.init d (fun t -> if t = j then 0.5 *. Box.width box j else 0.0)) in
+    let relu_terms = ref Relu_id.Map.empty in
+    let bounds = Array.make count { Bounds.pre_lo = [||]; pre_hi = [||]; post_lo = [||]; post_hi = [||] } in
+    let rec go li (pre_centers, pre_gens) nterms =
+      let b, centers, gens, nterms = activate layers.(li) li splits relu_terms pre_centers pre_gens nterms in
+      bounds.(li) <- b;
+      if li = count - 1 then (centers, gens, nterms) else go (li + 1) (pre (li + 1) centers gens nterms) nterms
+    in
+    match go 0 (pre 0 centers gens d) d with
+    | centers, gens, nterms -> Some ({ Bounds.layers = bounds }, centers, gens, !relu_terms, nterms)
+    | exception Empty_region -> None
+
+  (* DeepPoly's back-substitution step. *)
+  let step ~lower (lw, lconst, uw, uconst) w c =
+    let inner = Array.length lw in
+    let prev = if inner = 0 then 0 else Array.length lw.(0) in
+    let w' = Array.make_matrix (Array.length w) prev 0.0 in
+    let c' = Array.copy c in
+    Array.iteri
+      (fun r wr ->
+        for j = 0 to inner - 1 do
+          let coeff = wr.(j) in
+          if coeff <> 0.0 then begin
+            let take_lower = if lower then coeff > 0.0 else coeff < 0.0 in
+            let srow = if take_lower then lw.(j) else uw.(j) in
+            c'.(r) <- c'.(r) +. (coeff *. if take_lower then lconst.(j) else uconst.(j));
+            for p = 0 to prev - 1 do
+              let s = srow.(p) in
+              if s <> 0.0 then w'.(r).(p) <- w'.(r).(p) +. (coeff *. s)
+            done
+          end
+        done)
+      w;
+    (w', c')
+
+  let backsub ~lower syms box ~upto w c =
+    let w = ref w and c = ref c in
+    for k = upto - 1 downto 0 do
+      let w', c' = step ~lower syms.(k) !w !c in
+      w := w';
+      c := c'
+    done;
+    Array.init (Array.length !w) (fun r ->
+        let acc = ref !c.(r) in
+        Array.iteri
+          (fun j coeff ->
+            if coeff <> 0.0 then
+              let take_lo = if lower then coeff >= 0.0 else coeff < 0.0 in
+              acc := !acc +. (coeff *. if take_lo then Box.lo_at box j else Box.hi_at box j))
+          !w.(r);
+        !acc)
+
+  (* [Some (bounds, syms)], or [None] for an empty region. *)
+  let deeppoly net ~box ~splits =
+    let layers = Network.layers net in
+    let count = Array.length layers in
+    let syms = Array.make count ([||], [||], [||], [||]) in
+    let bounds = Array.make count { Bounds.pre_lo = [||]; pre_hi = [||]; post_lo = [||]; post_hi = [||] } in
+    let scaled s row = if s = 1.0 then row else Array.map (fun x -> s *. x) row in
+    try
+      for li = 0 to count - 1 do
+        let wm, b = Network.layer_dense net li in
+        let w = Mat.row_arrays wm in
+        let dim = Array.length w in
+        let pre_lo = backsub ~lower:true syms box ~upto:li w b in
+        let pre_hi = backsub ~lower:false syms box ~upto:li w b in
+        let lw = Array.make dim [||] and uw = Array.make dim [||] in
+        let lconst = Array.make dim 0.0 and uconst = Array.make dim 0.0 in
+        let post_lo = Array.make dim 0.0 and post_hi = Array.make dim 0.0 in
+        (match Layer.classify (Layer.activation layers.(li)) with
+        | Layer.Linear_activation ->
+            Array.blit w 0 lw 0 dim;
+            Array.blit w 0 uw 0 dim;
+            Array.blit b 0 lconst 0 dim;
+            Array.blit b 0 uconst 0 dim;
+            Array.blit pre_lo 0 post_lo 0 dim;
+            Array.blit pre_hi 0 post_hi 0 dim
+        | Layer.Smooth { f; df } ->
+            for idx = 0 to dim - 1 do
+              let l = pre_lo.(idx) and u = pre_hi.(idx) in
+              let lambda = Float.min (df l) (df u) in
+              lw.(idx) <- scaled lambda w.(idx);
+              uw.(idx) <- lw.(idx);
+              lconst.(idx) <- (lambda *. b.(idx)) +. (f l -. (lambda *. l));
+              uconst.(idx) <- (lambda *. b.(idx)) +. (f u -. (lambda *. u));
+              post_lo.(idx) <- f l;
+              post_hi.(idx) <- f u
+            done
+        | Layer.Piecewise slope ->
+            let act v = if v >= 0.0 then v else slope *. v in
+            for idx = 0 to dim - 1 do
+              let lb = pre_lo.(idx) and ub = pre_hi.(idx) in
+              let linear s lo hi =
+                lw.(idx) <- scaled s w.(idx);
+                uw.(idx) <- lw.(idx);
+                lconst.(idx) <- (s *. b.(idx)) +. 0.0;
+                uconst.(idx) <- lconst.(idx);
+                post_lo.(idx) <- lo;
+                post_hi.(idx) <- hi
+              in
+              match Splits.find (Relu_id.make ~layer:li ~index:idx) splits with
+              | Some Splits.Pos ->
+                  if ub < 0.0 then raise Empty_region;
+                  pre_lo.(idx) <- Float.max 0.0 lb;
+                  linear 1.0 pre_lo.(idx) ub
+              | Some Splits.Neg ->
+                  if lb > 0.0 then raise Empty_region;
+                  pre_hi.(idx) <- Float.min 0.0 ub;
+                  linear slope (slope *. lb) (slope *. pre_hi.(idx))
+              | None ->
+                  if lb >= 0.0 then linear 1.0 lb ub
+                  else if ub <= 0.0 then linear slope (slope *. lb) (slope *. ub)
+                  else begin
+                    let lambda_u = (ub -. (slope *. lb)) /. (ub -. lb) in
+                    uw.(idx) <- scaled lambda_u w.(idx);
+                    uconst.(idx) <- (lambda_u *. b.(idx)) +. (lb *. (slope -. lambda_u));
+                    let lambda_l = if ub >= -.lb then 1.0 else slope in
+                    lw.(idx) <- scaled lambda_l w.(idx);
+                    lconst.(idx) <- (lambda_l *. b.(idx)) +. 0.0;
+                    post_lo.(idx) <- act lb;
+                    post_hi.(idx) <- ub
+                  end
+            done);
+        syms.(li) <- (lw, lconst, uw, uconst);
+        bounds.(li) <- { Bounds.pre_lo; pre_hi; post_lo; post_hi }
+      done;
+      Some ({ Bounds.layers = bounds }, syms)
+    with Empty_region -> None
+end
+
+(* Every NaN as one value: the sign and payload of a NaN follow the
+   operand order the compiler picks for a commutative operation, not
+   the arithmetic. *)
+let canon v = Array.map (fun x -> if Float.is_nan x then Float.nan else x) v
+
+let canon_bounds (b : Bounds.t) =
+  let layer (l : Bounds.layer) =
+    { Bounds.pre_lo = canon l.Bounds.pre_lo; pre_hi = canon l.Bounds.pre_hi; post_lo = canon l.Bounds.post_lo; post_hi = canon l.Bounds.post_hi }
+  in
+  { Bounds.layers = Array.map layer b.Bounds.layers }
+
+let same_canon a b = same_vec (canon a) (canon b)
+
+(* The analyzers equal the reference bit for bit, from scratch and
+   resumed from a donor, on random mixed nets (ReLU, leaky ReLU,
+   sigmoid, tanh, an optional convolution) over split sets that include
+   empty regions.  Some nets have weights pushed past overflow, or
+   sparse weights some of them infinite, so non-finite generators,
+   coefficients and weights take the kernels' other paths too; one box
+   in four is a point, whose zero generators meet those weights. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"analyzers equal the reference kernels bit for bit" ~count:1000
+    QCheck.(make QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let net, d = random_mixed_net rng in
+      let net =
+        match Rng.int rng 8 with
+        | 0 -> Network.map_weights (fun w -> w *. 1e200) net
+        | 1 -> Network.map_weights (fun w -> if w > 0.7 then infinity else if Float.abs w < 0.4 then 0.0 else w) net
+        | 2 -> Network.map_weights (fun w -> if Float.abs w < 0.4 then 0.0 else w) net
+        | _ -> net
+      in
+      let box = random_box rng d in
+      let box = if Rng.int rng 4 = 0 then Box.make ~lo:(Box.lo box) ~hi:(Box.lo box) else box in
+      let donor_splits, splits = split_pair rng net box (Network.relu_ids net) in
+      let c = Array.init (Network.output_dim net) (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+      let zono_ok = function
+        | Zonotope.Infeasible -> Reference.zonotope net ~box ~splits = None
+        | Zonotope.Feasible a -> (
+            match Reference.zonotope net ~box ~splits with
+            | None -> false
+            | Some (bounds, center, gen, relu_terms, nterms) ->
+                same_bounds (canon_bounds a.Zonotope.bounds) (canon_bounds bounds)
+                && same_canon a.Zonotope.output_center center
+                && Array.length a.Zonotope.output_gen = Array.length gen
+                && Array.for_all2 same_canon a.Zonotope.output_gen gen
+                && Relu_id.Map.equal Int.equal a.Zonotope.relu_terms relu_terms
+                && a.Zonotope.nterms = nterms)
+      in
+      let deeppoly_ok = function
+        | Deeppoly.Infeasible -> Reference.deeppoly net ~box ~splits = None
+        | Deeppoly.Feasible a -> (
+            match Reference.deeppoly net ~box ~splits with
+            | None -> false
+            | Some (bounds, syms) ->
+                let upto = Array.length syms in
+                let itv = Deeppoly.objective_itv a ~c ~offset:0.5 in
+                same_bounds (canon_bounds (Deeppoly.bounds a)) (canon_bounds bounds)
+                && same_canon
+                     [| itv.Itv.lo; itv.Itv.hi |]
+                     [|
+                       (Reference.backsub ~lower:true syms box ~upto [| c |] [| 0.5 |]).(0);
+                       (Reference.backsub ~lower:false syms box ~upto [| c |] [| 0.5 |]).(0);
+                     |])
+      in
+      let zono_donor = Zonotope.analyze ~resumable:true net ~box ~splits:donor_splits in
+      let dp_donor = Deeppoly.analyze net ~box ~splits:donor_splits in
+      zono_ok (Zonotope.analyze net ~box ~splits)
+      && deeppoly_ok (Deeppoly.analyze net ~box ~splits)
+      && (match zono_donor with
+         | Zonotope.Feasible p -> zono_ok (Zonotope.analyze ~reuse:p.Zonotope.prefix net ~box ~splits)
+         | Zonotope.Infeasible -> true)
+      &&
+      match dp_donor with
+      | Deeppoly.Feasible p -> deeppoly_ok (Deeppoly.analyze ~reuse:(Deeppoly.prefix p) net ~box ~splits)
+      | Deeppoly.Infeasible -> true)
+
 let test_first_difference () =
   let r l i = Relu_id.make ~layer:l ~index:i in
   let s pairs = List.fold_left (fun acc (id, p) -> Splits.add id p acc) Splits.empty pairs in
@@ -654,6 +986,7 @@ let suite =
     ("degenerate box", `Quick, test_degenerate_box);
     q prop_domains_sound_random;
     q prop_resume_bit_identical;
+    q prop_matches_reference;
     ("diff identical networks", `Quick, test_diff_identical_networks);
     ("diff sound", `Quick, test_diff_sound);
     ("diff shape mismatch", `Quick, test_diff_shape_mismatch);

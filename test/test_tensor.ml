@@ -103,7 +103,20 @@ let test_vec_dims_mismatch () =
 
 let test_vec_dot () =
   let a = Vec.of_list [ 1.0; 2.0; 3.0 ] and b = Vec.of_list [ 4.0; 5.0; 6.0 ] in
-  check_float "dot" 32.0 (Vec.dot a b)
+  check_float "dot" 32.0 (Vec.dot a b);
+  (* Every length around the 4-way unrolling, summed left to right bit
+     for bit; entries of mixed magnitude make the order visible. *)
+  let rng = Rng.create 5 in
+  let entry () = Rng.uniform rng (-1.0) 1.0 *. (10.0 ** float_of_int (Rng.int rng 17 - 8)) in
+  for n = 0 to 9 do
+    for _ = 1 to 20 do
+      let a = Array.init n (fun _ -> entry ()) and b = Array.init n (fun _ -> entry ()) in
+      let expect = ref 0.0 in
+      Array.iteri (fun k x -> expect := !expect +. (x *. b.(k))) a;
+      Alcotest.(check int64) (Printf.sprintf "length %d" n) (Int64.bits_of_float !expect)
+        (Int64.bits_of_float (Vec.dot a b))
+    done
+  done
 
 let test_vec_norms () =
   let a = Vec.of_list [ 3.0; -4.0 ] in
@@ -127,7 +140,34 @@ let test_vec_axpy () =
   let x = Vec.of_list [ 1.0; 2.0 ] in
   let y = Vec.of_list [ 10.0; 20.0 ] in
   Vec.axpy 3.0 x y;
-  Alcotest.(check bool) "axpy" true (Vec.equal y (Vec.of_list [ 13.0; 26.0 ]))
+  Alcotest.(check bool) "axpy" true (Vec.equal y (Vec.of_list [ 13.0; 26.0 ]));
+  let bits v = Array.map Int64.bits_of_float v in
+  let same = Alcotest.(check (array int64)) in
+  (* Every length around the 4-way unrolling, entry by entry. *)
+  for n = 0 to 9 do
+    let x = Array.init n (fun k -> float_of_int (k + 1) *. if k mod 3 = 0 then -0.5 else 0.25) in
+    let y = Array.init n (fun k -> 0.1 *. float_of_int k) in
+    let expect = Array.mapi (fun k yk -> yk +. (1.5 *. x.(k))) y in
+    Vec.axpy 1.5 x y;
+    same (Printf.sprintf "length %d" n) (bits expect) (bits y)
+  done;
+  (* A shorter [x] changes only the prefix of [y]. *)
+  let y = Vec.of_list [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ] in
+  Vec.axpy 2.0 (Vec.of_list [ 1.0; 1.0; 1.0; 1.0; 1.0 ]) y;
+  same "prefix" (bits [| 3.0; 4.0; 5.0; 6.0; 7.0; 6.0 |]) (bits y);
+  Alcotest.check_raises "x longer than y" (Invalid_argument "Vec.axpy: x longer than y (3 vs 2)") (fun () ->
+      Vec.axpy 1.0 (Vec.zeros 3) (Vec.zeros 2));
+  (* A finite [a] adds [±0] for zero entries: no change, no zero test. *)
+  let y = [| 0.0; 1.0; -2.0 |] in
+  Vec.axpy (-3.0) [| 0.0; -0.0; 0.0 |] y;
+  same "finite a, zero x" (bits [| 0.0; 1.0; -2.0 |]) (bits y);
+  (* A non-finite [a] skips zero entries rather than adding NaN. *)
+  let y = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
+  Vec.axpy infinity [| 0.0; 1.0; -0.0; -1.0; 0.0 |] y;
+  same "infinite a" (bits [| 1.0; infinity; 3.0; neg_infinity; 5.0 |]) (bits y);
+  let y = [| 1.0; 2.0 |] in
+  Vec.axpy Float.nan [| 0.0; 1.0 |] y;
+  Alcotest.(check bool) "nan a" true (y.(0) = 1.0 && Float.is_nan y.(1))
 
 let test_vec_scale_map () =
   let v = Vec.of_list [ 1.0; -2.0 ] in
